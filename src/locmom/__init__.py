@@ -12,14 +12,16 @@ from .errors import (ConfigError, LocmomError, PreconditionError,
 from .moments import (LocalProfile, ObservableSpec, VarianceDecomposition,
                       density_inequality_witness, direct_variance,
                       global_average, linear_action, local_density_S,
-                      local_second_moment_S, local_value_S, local_variance_C,
-                      local_variance_S, momentum_power, position_function,
-                      sandwich_density, variance_decomposition)
+                      local_second_moment_S, local_value, local_value_S,
+                      local_variance, local_variance_C, local_variance_S,
+                      moment_densities, momentum_power,
+                      phase_space_local_moment, phase_space_local_variance,
+                      position_function, sandwich_density,
+                      variance_decomposition)
 from .phasespace import (CharacteristicSlice, QuasiDistribution,
                          bayes_product, characteristic_function_S,
                          conditional_momentum_S, margenau_hill_transform,
-                         momentum_amplitudes_at, phase_space_local_moment,
-                         phase_space_local_variance, variance_difference_term,
+                         momentum_amplitudes_at, variance_difference_term,
                          wigner_transform)
 from .classical import (ClassicalObservable, ObservableDistribution,
                         PhaseSpaceDensity, classical_local_moment,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction
+from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
+                   variance_profile)
 from .errors import PreconditionError
 from .moments import VarianceDecomposition
 from .phasespace import wigner_pgrid, wigner_transform
@@ -129,11 +130,8 @@ def classical_local_moment(F: PhaseSpaceDensity, a: ClassicalObservable,
 def classical_local_variance(F: PhaseSpaceDensity, a: ClassicalObservable,
                              eps_factor: float = DEFAULT_MASK_EPS) -> RealProfile:
     """Conditional variance of a given q; a true variance, nonnegative."""
-    m1 = classical_local_moment(F, a, 1, eps_factor)
-    m2 = classical_local_moment(F, a, 2, eps_factor)
-    values = m2.values - m1.values ** 2
-    values[~m1.mask] = 0.0
-    return RealProfile(F.grid, values, m1.mask)
+    return variance_profile(classical_local_moment(F, a, 1, eps_factor),
+                            classical_local_moment(F, a, 2, eps_factor))
 
 
 def observable_distribution(F: PhaseSpaceDensity, a: ClassicalObservable,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -35,6 +35,21 @@ DECOMPOSE_RESIDUAL_TOL = 1e-8
 
 _EXIT_CODES = {ConfigError: 2, PreconditionError: 3, SelfCheckError: 4}
 _ERROR_KINDS = {2: "config", 3: "precondition", 4: "self-check"}
+
+# Field types checked by RunConfig.validate, since values from a JSON
+# config arrive untyped: (fields, what they must be, test).
+_FIELD_TYPES = (
+    (("grid_n", "steps", "stride"), "an integer",
+     lambda v: type(v) is int),
+    (("q_min", "q_max", "hbar", "mass", "mask_eps", "dt"), "a finite number",
+     lambda v: type(v) in (int, float) and math.isfinite(v)),
+    (("state", "definition", "format", "potential", "kind"), "a string",
+     lambda v: type(v) is str),
+    (("out",), "a string or null", lambda v: v is None or type(v) is str),
+    (("order",), "an integer 1..4 or 'variance'",
+     lambda v: type(v) in (int, str) and v in ("variance", "1", "2", "3",
+                                                "4", 1, 2, 3, 4)),
+)
 
 
 @dataclass(frozen=True)
@@ -72,18 +87,14 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        for names, what, valid in _FIELD_TYPES:
+            for name in names:
+                if not valid(getattr(self, name)):
+                    raise ConfigError("%s must be %s, got %r"
+                                      % (name, what, getattr(self, name)))
         if self.definition not in ("S", "C", "MH", "W", "all"):
             raise ConfigError("definition must be S, C, MH, W or all, got %r"
                               % self.definition)
-        if self.order != "variance":
-            try:
-                order = int(self.order)
-            except ValueError:
-                raise ConfigError(
-                    "order must be an integer 1..4 or 'variance', got %r"
-                    % self.order)
-            if not 1 <= order <= 4:
-                raise ConfigError("order must be in 1..4, got %d" % order)
         if self.format not in ("csv", "json", "binary"):
             raise ConfigError("format must be csv, json or binary, got %r"
                               % self.format)
@@ -163,20 +174,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_mapping(data)
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("LOCMOM_THREADS")
-    if raw is None or raw.strip() == "":
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError("LOCMOM_THREADS must be a non-negative integer, "
-                          "got %r" % raw)
-    if value < 0:
-        raise ConfigError("LOCMOM_THREADS must be >= 0, got %d" % value)
-    return value
-
-
 def _setup(cfg: RunConfig):
     grid = make_grid(cfg.grid_n, cfg.q_min, cfg.q_max, cfg.hbar, cfg.mass)
     recipe = states.parse_recipe(cfg.state)
@@ -190,10 +187,11 @@ def _definitions(cfg: RunConfig) -> list[str]:
 
 
 def _moment_profile(psi, definition: str, order, eps: float):
-    A = moments.momentum_power(order if order != "variance" else 1)
     if order == "variance":
-        return moments._local_variance_profile(psi, A, definition, eps)
-    return moments._local_value_profile(psi, A, definition, eps)
+        return moments.local_variance(psi, moments.momentum_power(1),
+                                      definition, eps)
+    return moments.local_value(psi, moments.momentum_power(order),
+                               definition, eps)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -233,7 +231,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     for definition in _definitions(cfg):
         deco = moments.variance_decomposition(psi, A, definition, cfg.mask_eps)
         residual = abs(deco.total - direct)
-        if residual >= DECOMPOSE_RESIDUAL_TOL:
+        if not residual < DECOMPOSE_RESIDUAL_TOL:
             raise SelfCheckError(
                 "decomposition self-check failed for definition %s: "
                 "|sum - direct| = %.3g >= %.1g"
@@ -361,7 +359,7 @@ _COMMANDS = {"moments": cmd_moments, "decompose": cmd_decompose,
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        _threads_from_env()
+        phasespace.fft_workers()
         args = parser.parse_args(argv)
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)

@@ -19,6 +19,7 @@ allocated arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,14 @@ def make_grid(n: int, q_min: float, q_max: float,
     """Build a validated GridSpec.
 
     n must be even and at least 8 (powers of two recommended), the window
-    must be non-empty and hbar, mass positive.
+    must be finite and non-empty and hbar, mass finite and positive.
     """
     if n % 2 != 0 or n < 8:
         raise ConfigError("n must be even and >= 8, got n=%d" % n)
+    for name, value in (("q_min", q_min), ("q_max", q_max), ("hbar", hbar),
+                        ("mass", mass)):
+        if not math.isfinite(value):
+            raise ConfigError("%s must be finite, got %r" % (name, value))
     if not q_max > q_min:
         raise ConfigError("inverted window: q_max=%g must exceed q_min=%g"
                           % (q_max, q_min))
@@ -143,7 +148,7 @@ def normalize(psi: Wavefunction) -> Wavefunction:
 
 
 def require_normalized(psi: Wavefunction, tol: float = 1e-8) -> None:
-    if abs(psi.norm() - 1.0) > tol:
+    if not abs(psi.norm() - 1.0) <= tol:
         raise PreconditionError(
             "wavefunction not normalized: norm=%.12g" % psi.norm())
 
@@ -189,6 +194,28 @@ def apply_momentum_power(psi: Wavefunction, n: int) -> np.ndarray:
         return np.array(psi.amp, dtype=complex)
     g = psi.grid
     return sfft.ifft((g.p_wrapped ** n) * sfft.fft(psi.amp))
+
+
+def masked_quotient(psi: Wavefunction, numerator: np.ndarray,
+                    eps_factor: float = DEFAULT_MASK_EPS) -> RealProfile:
+    """numerator / rho on the mask of psi, zero off it.
+
+    The quotients are genuinely singular at nodes, so points below the rho
+    threshold are masked, not regularized."""
+    rho = psi.rho()
+    mask = psi.mask(eps_factor)
+    if not mask.any():
+        raise PreconditionError("state has no support")
+    values = np.zeros(psi.grid.n)
+    values[mask] = numerator[mask] / rho[mask]
+    return RealProfile(psi.grid, values, mask)
+
+
+def variance_profile(first: RealProfile, second: RealProfile) -> RealProfile:
+    """Local variance second - first^2 on the mask of first, zero off it."""
+    values = second.values - first.values ** 2
+    values[~first.mask] = 0.0
+    return RealProfile(first.grid, values, first.mask)
 
 
 def integrate(profile: RealProfile) -> float:

@@ -30,7 +30,7 @@ from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    apply_momentum_power, require_normalized,
                    spatial_derivative)
 from .errors import PreconditionError, SelfCheckError
-from .phasespace import wigner_transform
+from .moments import moment_densities, momentum_power
 
 STABILITY_LIMIT = 0.5
 
@@ -130,7 +130,7 @@ def split_step_propagate(psi0: Wavefunction, V: Potential,
     trace = EvolutionTrace(potential=V, times=np.array(times),
                            snapshots=tuple(snapshots))
     worst = max(abs(s.norm() - 1.0) for s in trace.snapshots)
-    if worst > 1e-9:
+    if not worst <= 1e-9:
         raise PreconditionError("unitarity check failed: norm drift %.3g"
                                 % worst)
     return trace
@@ -191,8 +191,8 @@ WIGNER_MOMENT_DENSITY_TOL = 1e-8
 
 
 def _checked_fields(psi: Wavefunction) -> dict:
-    """Amplitude fields of a snapshot, cross-checked against the Wigner
-    moment densities of the phase-space module.
+    """Amplitude fields of a snapshot, cross-checked against its Wigner
+    moment densities (moment_densities, definition W).
 
     The Wigner first and second moment densities coincide analytically
     with the bilinear forms D = Re[conj(psi) p psi] and
@@ -205,12 +205,10 @@ def _checked_fields(psi: Wavefunction) -> dict:
     density level and the bilinear twins are used for the differencing.
     """
     fields = _amplitude_fields(psi)
-    W = wigner_transform(psi)
-    m1w = (W.values @ W.pgrid) * W.dp
-    m2w = (W.values @ W.pgrid ** 2) * W.dp
+    m1w, m2w = moment_densities(psi, momentum_power(1), "W")
     dev = max(float(np.max(np.abs(m1w - fields["D"]))),
               float(np.max(np.abs(m2w - fields["m2"]))))
-    if dev > WIGNER_MOMENT_DENSITY_TOL:
+    if not dev <= WIGNER_MOMENT_DENSITY_TOL:
         raise SelfCheckError(
             "Wigner moment densities deviate from their bilinear forms by "
             "%.3g (tolerance %.1g)" % (dev, WIGNER_MOMENT_DENSITY_TOL))
@@ -261,26 +259,22 @@ def euler_residual_W(trace: EvolutionTrace,
 
 def kinetic_energy_densities(psi: Wavefunction) -> dict[str, RealProfile]:
     """The three local kinetic-energy densities, keyed by definition tag:
+    the second momentum-moment densities of moment_densities over 2m,
 
-        W : rho * (second W local moment) / (2m), from the Wigner moments;
+        W : from the Wigner transform;
         MH: Re[conj(psi) p^2 psi] / (2m)  (= the S/MH second-moment density);
         C : |p psi|^2 / (2m)              (the sandwich density).
 
     Each integrates to <p^2>/(2m); the W density is the pointwise mean of
     the other two."""
-    require_normalized(psi)
     g = psi.grid
-    mass = g.mass
-    full = np.ones(g.n, dtype=bool)
-    p_psi = apply_momentum_power(psi, 1)
-    p2_psi = apply_momentum_power(psi, 2)
-    mh = np.real(np.conj(psi.amp) * p2_psi) / (2.0 * mass)
-    c = np.abs(p_psi) ** 2 / (2.0 * mass)
-    W = wigner_transform(psi)
-    w = (W.values @ W.pgrid ** 2) * W.dp / (2.0 * mass)
-    return {"W": RealProfile(g, w, full),
-            "MH": RealProfile(g, mh, full.copy()),
-            "C": RealProfile(g, c, full.copy())}
+    out = {}
+    for definition in ("W", "MH", "C"):
+        (second,) = moment_densities(psi, momentum_power(1), definition,
+                                     orders=(2,))
+        out[definition] = RealProfile(g, second / (2.0 * g.mass),
+                                      np.ones(g.n, dtype=bool))
+    return out
 
 
 def position_mean(psi: Wavefunction) -> float:

@@ -66,9 +66,19 @@ def distribution_binary(kind: str, grid, dp: float,
 
 
 def read_distribution_binary(blob: bytes):
-    """Inverse of distribution_binary; returns (kind, n, dq, dp, hbar, values)."""
-    kind_raw, n, dq, dp, hbar = _HEADER.unpack(blob[:_HEADER.size])
+    """Inverse of distribution_binary; returns (kind, n, dq, dp, hbar, values).
+
+    Raises ConfigError on a truncated header or a body that is not 8*n*n
+    bytes."""
+    if len(blob) < _HEADER.size:
+        raise ConfigError("distribution header truncated: %d of %d bytes"
+                          % (len(blob), _HEADER.size))
+    kind_raw, n, dq, dp, hbar = _HEADER.unpack_from(blob)
     kind = kind_raw.rstrip(b"\0").decode("ascii")
+    body = len(blob) - _HEADER.size
+    if body != 8 * n * n:
+        raise ConfigError("distribution body holds %d bytes, expected "
+                          "8*n*n = %d for n = %d" % (body, 8 * n * n, n))
     values = np.frombuffer(blob[_HEADER.size:], dtype="<f8").reshape(n, n)
     return kind, n, dq, dp, hbar, values
 

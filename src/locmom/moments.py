@@ -1,18 +1,27 @@
 """Local values, local variances, and variance decompositions under the
-competing C and S prescriptions, for momentum powers and for operators
-given by their action.
+S, C, MH and W definitions, for momentum powers and for operators given by
+their action.
 
-For a Hermitian operator A and a point q on the grid, delta(q_hat - q) is
-absorbed analytically: the symmetrized local density is evaluated as
+Everything here derives from one layer, moment_densities: real densities in
+q whose quotients by rho are the local moments and whose integrals are the
+global ones.  The definitions share the first density (the local value)
+and differ only in how the local spread splits:
 
-    <A_q> = Re[ conj(psi(q)) * (A psi)(q) ]
+    S, MH   Re[ conj(psi) * (A^k psi) ]       (closed form, spectral A)
+    C       Re[ conj(psi) * (A psi) ], then |(A psi)|^2 for A^2
+    W       the p^(k*m) moment density of the Wigner transform, A = p^m
 
-and the "sandwich" density for A^2 as |(A psi)(q)|^2.  This is exact at the
-grid points; no delta-width parameter enters.  Quotients by rho(q) are only
-formed on the mask where rho exceeds the shared threshold; points below it
-are masked, not regularized (the quotients are genuinely singular at nodes).
+delta(q_hat - q) is absorbed analytically at the grid points, so no
+delta-width parameter enters.  The MH transform's moment densities agree
+with the closed form to its own roundoff, so MH takes the closed form.  W
+stays on the transform: its correlation products keep relative accuracy in
+the tails, while the equivalent bilinear form divides global FFT roundoff
+by a rho near the mask threshold.
 
-The S local variance may be negative; the C one is a square and may not.
+A local moment is core.masked_quotient of a density by rho; a local
+variance is core.variance_profile of the first two, except that the C one
+keeps the form Im[(A psi)/psi]^2, its analytic equal.  The S local variance
+may be negative; the C one is a square and may not.
 """
 
 from __future__ import annotations
@@ -23,12 +32,16 @@ from typing import Callable
 import numpy as np
 
 from .core import (DEFAULT_MASK_EPS, RealProfile, Wavefunction,
-                   apply_momentum_power, require_normalized)
+                   apply_momentum_power, masked_quotient, require_normalized,
+                   variance_profile)
 from .errors import PreconditionError
+from .phasespace import QuasiDistribution, wigner_transform
 
 MOMENT_ORDER_CAP = 4
 
 DEFINITIONS = ("S", "C", "MH", "W")
+
+_KIND_TO_DEFINITION = {"weyl_wigner": "W", "margenau_hill": "MH"}
 
 
 @dataclass(frozen=True)
@@ -102,31 +115,110 @@ def _require_square(A: ObservableSpec) -> Callable:
     return A.apply_square
 
 
-def _masked_quotient(psi: Wavefunction, numerator: np.ndarray,
-                     eps_factor: float) -> RealProfile:
-    rho = psi.rho()
-    mask = psi.mask(eps_factor)
-    if not mask.any():
-        raise PreconditionError("state has no support")
-    values = np.zeros(psi.grid.n)
-    values[mask] = numerator[mask] / rho[mask]
-    return RealProfile(psi.grid, values, mask)
+def _closed_density(psi: Wavefunction, A: ObservableSpec, definition: str,
+                    k: int) -> np.ndarray:
+    if k == 1:
+        return np.real(np.conj(psi.amp) * A.apply(psi))
+    if definition == "C":
+        return np.abs(A.apply(psi)) ** 2
+    return np.real(np.conj(psi.amp) * _require_square(A)(psi))
+
+
+def moment_densities(psi: Wavefunction, A: ObservableSpec, definition: str,
+                     orders: tuple[int, ...] = (1, 2)
+                     ) -> tuple[np.ndarray, ...]:
+    """Densities of the local moments of A^k, one per k in orders (1 or 2),
+    under the given definition; defined at every grid point, no quotients.
+
+    The phase-space definitions MH and W need a phase-space symbol: A must
+    be a momentum power p^m with k*m <= MOMENT_ORDER_CAP, or a position
+    function g(q), whose density g^k rho is the same under every
+    definition.  W builds one Wigner transform for all orders."""
+    require_normalized(psi)
+    if definition not in DEFINITIONS:
+        raise PreconditionError("definition must be one of %s"
+                                % (DEFINITIONS,))
+    if not set(orders) <= {1, 2}:
+        raise PreconditionError("moment density orders must be 1 or 2, "
+                                "got %s" % (orders,))
+    if definition in ("MH", "W") and A.kind != "position_function":
+        if A.kind != "momentum_power":
+            raise PreconditionError(
+                "definition %s needs a momentum power or a position "
+                "function; no phase-space symbol for %r"
+                % (definition, A.kind))
+        top = max(orders) * A.order
+        if top > MOMENT_ORDER_CAP:
+            raise PreconditionError(
+                "%s moments of p^%d need moment order %d > cap %d"
+                % (definition, A.order, top, MOMENT_ORDER_CAP))
+        if definition == "W":
+            F = wigner_transform(psi)
+            return tuple(F.moment_density(k * A.order) for k in orders)
+    return tuple(_closed_density(psi, A, definition, k) for k in orders)
+
+
+def local_value(psi: Wavefunction, A: ObservableSpec, definition: str,
+                eps_factor: float = DEFAULT_MASK_EPS) -> LocalProfile:
+    """Local value of A under the definition: its first moment density
+    over rho.  S, C and MH agree; W agrees with them for A = p."""
+    (first,) = moment_densities(psi, A, definition, orders=(1,))
+    return LocalProfile(definition, A.order,
+                        masked_quotient(psi, first, eps_factor))
+
+
+def local_variance(psi: Wavefunction, A: ObservableSpec, definition: str,
+                   eps_factor: float = DEFAULT_MASK_EPS) -> LocalProfile:
+    """Local variance of A under the definition: second local moment minus
+    the squared first, except under C, whose local variance is
+    local_variance_C."""
+    if definition == "C":
+        return local_variance_C(psi, A, eps_factor)
+    first, second = moment_densities(psi, A, definition)
+    return LocalProfile(definition, "variance", variance_profile(
+        masked_quotient(psi, first, eps_factor),
+        masked_quotient(psi, second, eps_factor)))
+
+
+def phase_space_local_moment(F: QuasiDistribution, psi: Wavefunction,
+                             order: int,
+                             eps_factor: float = DEFAULT_MASK_EPS
+                             ) -> LocalProfile:
+    """n-th local momentum moment (sum_k p_k^n F dp) / rho on the mask,
+    taken from a given transform (the oracle route to the MH and W local
+    moments)."""
+    if F.grid != psi.grid:
+        raise PreconditionError("distribution and state use different grids")
+    if not 1 <= order <= MOMENT_ORDER_CAP:
+        raise PreconditionError("moment order must be in 1..%d, got %d"
+                                % (MOMENT_ORDER_CAP, order))
+    return LocalProfile(_KIND_TO_DEFINITION[F.kind], order,
+                        masked_quotient(psi, F.moment_density(order),
+                                        eps_factor))
+
+
+def phase_space_local_variance(F: QuasiDistribution, psi: Wavefunction,
+                               eps_factor: float = DEFAULT_MASK_EPS
+                               ) -> LocalProfile:
+    """Second local moment minus squared first from a given transform; may
+    be negative."""
+    m1 = phase_space_local_moment(F, psi, 1, eps_factor)
+    m2 = phase_space_local_moment(F, psi, 2, eps_factor)
+    return LocalProfile(m1.definition, "variance",
+                        variance_profile(m1.profile, m2.profile))
 
 
 def local_density_S(psi: Wavefunction, A: ObservableSpec) -> RealProfile:
     """Symmetrized local density Re[conj(psi) (A psi)], defined at every
     grid point; integrates to the global average <A>."""
-    require_normalized(psi)
-    density = np.real(np.conj(psi.amp) * A.apply(psi))
-    return RealProfile(psi.grid, density, np.ones(psi.grid.n, dtype=bool))
+    (first,) = moment_densities(psi, A, "S", orders=(1,))
+    return RealProfile(psi.grid, first, np.ones(psi.grid.n, dtype=bool))
 
 
 def local_value_S(psi: Wavefunction, A: ObservableSpec,
                   eps_factor: float = DEFAULT_MASK_EPS) -> LocalProfile:
     """Local value Re[(A psi)(q)/psi(q)], i.e. local_density_S / rho."""
-    density = local_density_S(psi, A)
-    prof = _masked_quotient(psi, density.values, eps_factor)
-    return LocalProfile("S", A.order, prof)
+    return local_value(psi, A, "S", eps_factor)
 
 
 def local_variance_C(psi: Wavefunction, A: ObservableSpec,
@@ -146,11 +238,9 @@ def local_variance_C(psi: Wavefunction, A: ObservableSpec,
 def local_second_moment_S(psi: Wavefunction, A: ObservableSpec,
                           eps_factor: float = DEFAULT_MASK_EPS) -> LocalProfile:
     """Local average of A^2 under S: Re[conj(psi) (A^2 psi)] / rho."""
-    require_normalized(psi)
-    apply_square = _require_square(A)
-    density = np.real(np.conj(psi.amp) * apply_square(psi))
-    prof = _masked_quotient(psi, density, eps_factor)
-    return LocalProfile("S", A.order, prof)
+    (second,) = moment_densities(psi, A, "S", orders=(2,))
+    return LocalProfile("S", A.order,
+                        masked_quotient(psi, second, eps_factor))
 
 
 def local_variance_S(psi: Wavefunction, A: ObservableSpec,
@@ -159,20 +249,14 @@ def local_variance_S(psi: Wavefunction, A: ObservableSpec,
 
     Not semidefinite positive; for a Gaussian it is negative beyond
     |q - q0| > s*sqrt(2)."""
-    second = local_second_moment_S(psi, A, eps_factor)
-    value = local_value_S(psi, A, eps_factor)
-    vals = second.profile.values - value.profile.values ** 2
-    vals[~second.profile.mask] = 0.0
-    return LocalProfile("S", "variance",
-                        RealProfile(psi.grid, vals, second.profile.mask))
+    return local_variance(psi, A, "S", eps_factor)
 
 
 def sandwich_density(psi: Wavefunction, A: ObservableSpec) -> RealProfile:
     """The other local density for A^2: |(A psi)(q)|^2, nonnegative,
     integrating to <A^2>."""
-    require_normalized(psi)
-    density = np.abs(A.apply(psi)) ** 2
-    return RealProfile(psi.grid, density, np.ones(psi.grid.n, dtype=bool))
+    (second,) = moment_densities(psi, A, "C", orders=(2,))
+    return RealProfile(psi.grid, second, np.ones(psi.grid.n, dtype=bool))
 
 
 def density_inequality_witness(psi: Wavefunction, A: ObservableSpec,
@@ -181,113 +265,16 @@ def density_inequality_witness(psi: Wavefunction, A: ObservableSpec,
 
     Zero for eigenstates of A and for diagonal observables; strictly
     positive for generic states."""
-    apply_square = _require_square(A)
-    sandwich = sandwich_density(psi, A).values
-    sym = np.real(np.conj(psi.amp) * apply_square(psi))
+    (sym,) = moment_densities(psi, A, "S", orders=(2,))
+    (sandwich,) = moment_densities(psi, A, "C", orders=(2,))
     mask = psi.mask(eps_factor)
     return float(np.max(np.abs(sandwich - sym)[mask]))
 
 
 def global_average(psi: Wavefunction, A: ObservableSpec) -> float:
     """<psi|A|psi> evaluated directly (A assumed Hermitian)."""
-    require_normalized(psi)
-    return float(np.real(np.sum(np.conj(psi.amp) * A.apply(psi))) * psi.grid.dq)
-
-
-def _square_average(psi: Wavefunction, A: ObservableSpec) -> float:
-    apply_square = _require_square(A)
-    return float(np.real(np.sum(np.conj(psi.amp) * apply_square(psi)))
-                 * psi.grid.dq)
-
-
-def _local_variance_profile(psi: Wavefunction, A: ObservableSpec,
-                            definition: str, eps_factor: float) -> LocalProfile:
-    if definition == "S":
-        return local_variance_S(psi, A, eps_factor)
-    if definition == "C":
-        return local_variance_C(psi, A, eps_factor)
-    # MH / W come from the phase-space module; its momentum symbols cover
-    # momentum powers and diagonal observables only.
-    from . import phasespace
-
-    if A.kind == "position_function":
-        # diagonal observable: all four local variances vanish identically
-        mask = psi.mask(eps_factor)
-        return LocalProfile(definition, "variance",
-                            RealProfile(psi.grid, np.zeros(psi.grid.n), mask))
-    if A.kind != "momentum_power":
-        raise PreconditionError(
-            "phase-space local variance needs a momentum power or a "
-            "position function; no phase-space symbol for %r" % A.kind)
-    if 2 * A.order > MOMENT_ORDER_CAP:
-        raise PreconditionError(
-            "phase-space variance of p^%d needs moment order %d > cap %d"
-            % (A.order, 2 * A.order, MOMENT_ORDER_CAP))
-    if definition == "MH":
-        F = phasespace.margenau_hill_transform(psi)
-    elif definition == "W":
-        F = phasespace.wigner_transform(psi)
-    else:
-        raise PreconditionError("unknown definition %r" % definition)
-    if A.order == 1:
-        return phasespace.phase_space_local_variance(F, psi, eps_factor)
-    m1 = phasespace.phase_space_local_moment(F, psi, A.order, eps_factor)
-    m2 = phasespace.phase_space_local_moment(F, psi, 2 * A.order, eps_factor)
-    vals = m2.profile.values - m1.profile.values ** 2
-    vals[~m1.profile.mask] = 0.0
-    return LocalProfile(definition, "variance",
-                        RealProfile(psi.grid, vals, m1.profile.mask))
-
-
-def _local_value_profile(psi: Wavefunction, A: ObservableSpec,
-                         definition: str, eps_factor: float) -> LocalProfile:
-    if definition in ("S", "C"):
-        return local_value_S(psi, A, eps_factor)
-    from . import phasespace
-
-    if A.kind == "position_function":
-        return local_value_S(psi, A, eps_factor)
-    if A.kind != "momentum_power":
-        raise PreconditionError(
-            "phase-space local value needs a momentum power or a position "
-            "function; no phase-space symbol for %r" % A.kind)
-    if definition == "MH":
-        F = phasespace.margenau_hill_transform(psi)
-    else:
-        F = phasespace.wigner_transform(psi)
-    return phasespace.phase_space_local_moment(F, psi, A.order, eps_factor)
-
-
-def _moment_densities(psi: Wavefunction, A: ObservableSpec,
-                      definition: str) -> tuple[np.ndarray, np.ndarray]:
-    """First-moment and second-moment densities of the observable under the
-    given definition, defined at every grid point (no quotients)."""
-    if A.kind == "position_function" or definition in ("S", "C"):
-        apply_square = _require_square(A)
-        field = A.apply(psi)
-        first = np.real(np.conj(psi.amp) * field)
-        if definition == "C":
-            second = np.abs(field) ** 2
-        else:
-            second = np.real(np.conj(psi.amp) * apply_square(psi))
-        return first, second
-    from . import phasespace
-
-    if A.kind != "momentum_power":
-        raise PreconditionError(
-            "phase-space local variance needs a momentum power or a "
-            "position function; no phase-space symbol for %r" % A.kind)
-    if 2 * A.order > MOMENT_ORDER_CAP:
-        raise PreconditionError(
-            "phase-space variance of p^%d needs moment order %d > cap %d"
-            % (A.order, 2 * A.order, MOMENT_ORDER_CAP))
-    if definition == "MH":
-        F = phasespace.margenau_hill_transform(psi)
-    else:
-        F = phasespace.wigner_transform(psi)
-    first = (F.values @ F.pgrid ** A.order) * F.dp
-    second = (F.values @ F.pgrid ** (2 * A.order)) * F.dp
-    return first, second
+    (first,) = moment_densities(psi, A, "S", orders=(1,))
+    return float(np.sum(first) * psi.grid.dq)
 
 
 def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
@@ -311,14 +298,11 @@ def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
     masked-out region carries probability above 1e-8, which would make the
     split unreliable.
     """
-    require_normalized(psi)
-    if definition not in DEFINITIONS:
-        raise PreconditionError("definition must be one of %s"
-                                % (DEFINITIONS,))
+    first, second = moment_densities(psi, A, definition)
     rho = psi.rho()
     mask = psi.mask(eps_factor)
     masked_out = float(np.sum(rho[~mask]) * psi.grid.dq)
-    if masked_out > 1e-8:
+    if not masked_out <= 1e-8:
         raise PreconditionError(
             "masked region excludes probability %.3g > 1e-8; "
             "decomposition unreliable" % masked_out)
@@ -333,7 +317,6 @@ def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
         avg_local_variance = 0.0
         variance_of_local_avg = float(np.sum((g - mean) ** 2 * rho) * dq)
     else:
-        first, second = _moment_densities(psi, A, definition)
         quot = first[mask] ** 2 / rho[mask]
         avg_local_variance = float(np.sum(second) * dq - np.sum(quot) * dq)
         spread = (first[mask] / np.sqrt(rho[mask])
@@ -348,4 +331,6 @@ def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
 
 def direct_variance(psi: Wavefunction, A: ObservableSpec) -> float:
     """sigma^2_A = <A^2> - <A>^2 computed without local quantities."""
-    return _square_average(psi, A) - global_average(psi, A) ** 2
+    first, second = moment_densities(psi, A, "S")
+    dq = psi.grid.dq
+    return float(np.sum(second) * dq) - float(np.sum(first) * dq) ** 2

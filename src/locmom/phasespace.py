@@ -1,6 +1,14 @@
-"""Wigner and Margenau-Hill quasi-distributions, phase-space local moments,
-the characteristic-function route to the conditional momentum distribution,
-and the difference term relating the W, MH and C local variances.
+"""Wigner and Margenau-Hill quasi-distributions and their momentum moment
+densities, the characteristic-function route to the conditional momentum
+distribution, and the difference term relating the W, MH and C local
+variances.
+
+The n x n transforms are the independent phase-space route: the W local
+moments of ``moments`` are taken from the Wigner moment densities, and the
+Margenau-Hill transform serves as the oracle that the closed-form MH
+densities and the Bayes product are checked against.  This module builds on
+``core`` only; the local moments and variances built from these densities
+live in ``moments``.
 
 Grid conventions
 ----------------
@@ -36,27 +44,30 @@ import numpy as np
 from scipy import fft as sfft
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
-                   apply_momentum_power, momentum_representation,
-                   require_normalized)
-from .errors import PreconditionError, SelfCheckError
-from .moments import MOMENT_ORDER_CAP, LocalProfile
+                   apply_momentum_power, masked_quotient,
+                   momentum_representation, require_normalized)
+from .errors import ConfigError, PreconditionError, SelfCheckError
 
 WIGNER_EDGE_TOL = 1e-10
 BAYES_CELL_TOL = 1e-7
 
-_KIND_TO_DEFINITION = {"weyl_wigner": "W", "margenau_hill": "MH"}
 
+def fft_workers() -> int | None:
+    """Worker count for the batched transforms, from LOCMOM_THREADS.
 
-def _fft_workers() -> int | None:
-    """Optional worker count for batched FFTs, from LOCMOM_THREADS."""
+    Unset, empty or 0 leaves scipy's default; anything but a non-negative
+    integer raises ConfigError."""
     raw = os.environ.get("LOCMOM_THREADS", "").strip()
     if not raw:
         return None
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return value if value > 0 else None
+        raise ConfigError("LOCMOM_THREADS must be a non-negative integer, "
+                          "got %r" % raw)
+    if value < 0:
+        raise ConfigError("LOCMOM_THREADS must be >= 0, got %d" % value)
+    return value or None
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,12 @@ class QuasiDistribution:
         flat = int(np.argmin(self.values))
         i, k = divmod(flat, self.values.shape[1])
         return float(self.values[i, k]), float(self.grid.q[i]), float(self.pgrid[k])
+
+    def moment_density(self, order: int) -> np.ndarray:
+        """sum_k pgrid_k^order values[i, k] dp: the density in q of the
+        order-th momentum moment (p^order is the symbol of p_hat^order for
+        both kernels)."""
+        return (self.values @ (self.pgrid ** order)) * self.dp
 
 
 @dataclass(frozen=True)
@@ -141,7 +158,7 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
     require_normalized(psi)
     g = psi.grid
     corr = _correlation_matrix(psi)
-    rows = g.n * sfft.ifft(corr, axis=1, workers=_fft_workers())
+    rows = g.n * sfft.ifft(corr, axis=1, workers=fft_workers())
     values = np.fft.fftshift(rows.real, axes=1) * (g.dq / (np.pi * g.hbar))
     pgrid, dp = wigner_pgrid(g)
     return QuasiDistribution(kind="weyl_wigner", grid=g, pgrid=pgrid,
@@ -158,44 +175,6 @@ def margenau_hill_transform(psi: Wavefunction) -> QuasiDistribution:
     values /= np.sqrt(2.0 * np.pi * g.hbar)
     return QuasiDistribution(kind="margenau_hill", grid=g, pgrid=g.p,
                              dp=g.dp, values=values)
-
-
-def _moment_density(F: QuasiDistribution, order: int) -> np.ndarray:
-    return (F.values @ (F.pgrid ** order)) * F.dp
-
-
-def phase_space_local_moment(F: QuasiDistribution, psi: Wavefunction,
-                             order: int,
-                             eps_factor: float = DEFAULT_MASK_EPS
-                             ) -> LocalProfile:
-    """n-th local momentum moment (sum_k p_k^n F dp) / rho on the mask.
-
-    The phase-space symbol of p_hat^n is p^n for both implemented kernels.
-    """
-    if F.grid != psi.grid:
-        raise PreconditionError("distribution and state use different grids")
-    if not 1 <= order <= MOMENT_ORDER_CAP:
-        raise PreconditionError("moment order must be in 1..%d, got %d"
-                                % (MOMENT_ORDER_CAP, order))
-    rho = psi.rho()
-    mask = psi.mask(eps_factor)
-    density = _moment_density(F, order)
-    values = np.zeros(psi.grid.n)
-    values[mask] = density[mask] / rho[mask]
-    return LocalProfile(_KIND_TO_DEFINITION[F.kind], order,
-                        RealProfile(psi.grid, values, mask))
-
-
-def phase_space_local_variance(F: QuasiDistribution, psi: Wavefunction,
-                               eps_factor: float = DEFAULT_MASK_EPS
-                               ) -> LocalProfile:
-    """Second local moment minus squared first; may be negative."""
-    m1 = phase_space_local_moment(F, psi, 1, eps_factor)
-    m2 = phase_space_local_moment(F, psi, 2, eps_factor)
-    vals = m2.profile.values - m1.profile.values ** 2
-    vals[~m1.profile.mask] = 0.0
-    return LocalProfile(_KIND_TO_DEFINITION[F.kind], "variance",
-                        RealProfile(psi.grid, vals, m1.profile.mask))
 
 
 def _shift_steps(grid: GridSpec, tau: float) -> int:
@@ -249,7 +228,7 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
     G[live, :] = (amp[plus][live, :] / (2.0 * amp[live, None])
                   + np.conj(amp[minus][live, :])
                   / (2.0 * np.conj(amp[live, None])))
-    rows = sfft.fft(G, axis=1, workers=_fft_workers()).real
+    rows = sfft.fft(G, axis=1, workers=fft_workers()).real
     rows *= g.dq / (2.0 * np.pi * g.hbar)
     return np.fft.fftshift(rows, axes=1)
 
@@ -267,7 +246,7 @@ def bayes_product(psi: Wavefunction, conditional: np.ndarray,
     values = psi.rho()[:, None] * conditional
     reference = margenau_hill_transform(psi)
     dev = float(np.max(np.abs(values - reference.values)))
-    if dev > BAYES_CELL_TOL:
+    if not dev <= BAYES_CELL_TOL:
         raise SelfCheckError(
             "Bayes product deviates from the Margenau-Hill distribution by "
             "%.3g per cell (tolerance %.1g)" % (dev, BAYES_CELL_TOL))
@@ -290,8 +269,4 @@ def variance_difference_term(psi: Wavefunction,
     p2_psi = apply_momentum_power(psi, 2)
     sandwich = np.abs(p_psi) ** 2
     sym = np.real(np.conj(psi.amp) * p2_psi)
-    rho = psi.rho()
-    mask = psi.mask(eps_factor)
-    values = np.zeros(psi.grid.n)
-    values[mask] = (2.0 * sandwich[mask] - 2.0 * sym[mask]) / (4.0 * rho[mask])
-    return RealProfile(psi.grid, values, mask)
+    return masked_quotient(psi, 0.5 * (sandwich - sym), eps_factor)

@@ -94,6 +94,27 @@ def test_bad_order_exits_2(capsys):
     assert "order" in json.loads(err)["error"]["message"]
 
 
+def test_moments_c_block_labelled_c(capsys):
+    code, out, _ = run(["moments", *GRID16, "--definition", "all",
+                        "--order", "2", "--format", "json"], capsys)
+    assert code == 0
+    blocks = json.loads(out)
+    assert [b["definition"] for b in blocks] == ["S", "C", "MH", "W"]
+    # the C local value of p^k is Re[(p^k psi)/psi], the S one
+    assert blocks[1]["value"] == blocks[0]["value"]
+    code, out, _ = run(["moments", *GRID16, "--definition", "C",
+                        "--order", "1"], capsys)
+    assert code == 0
+    assert {line.split(",")[3] for line in out.splitlines()[1:]} == {"C"}
+
+
+def test_hbar_inf_exits_2(capsys):
+    code, out, err = run(["decompose", *GRID16, "--hbar", "inf"], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "hbar" in json.loads(err)["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # decompose
 
@@ -283,6 +304,39 @@ def test_config_unknown_field_exits_2(tmp_path, capsys):
     code, _, err = run(["moments", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert "grid_m" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"grid_n": "512"}, "grid_n"), ({"order": 2.5}, "order")])
+def test_config_wrong_type_exits_2(tmp_path, capsys, data, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    code, out, err = run(["moments", "--config", str(cfg_path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert field in json.loads(err)["error"]["message"]
+
+
+def test_config_accepts_typed_values(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid_n": 512, "q_min": -16,
+                                    "q_max": 16.0, "order": 2,
+                                    "definition": "S", "out": None}))
+    code, out, _ = run(["moments", "--config", str(cfg_path)], capsys)
+    assert code == 0
+    assert out.splitlines()[1].endswith(",S,2")
+
+
+def test_read_distribution_binary_rejects_cut_blob(tmp_path, capsys):
+    out = tmp_path / "w.bin"
+    code, _, _ = run(["distribution", "--grid-n", "64", "--q-min", "-16",
+                      "--q-max", "16", "--format", "binary",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    blob = out.read_bytes()
+    for cut in (blob[:20], blob[:-8], blob + b"\0" * 8):
+        with pytest.raises(lm.ConfigError):
+            read_distribution_binary(cut)
 
 
 def test_runconfig_canonical_round_trip():

@@ -28,6 +28,22 @@ def test_make_grid_rejects_bad_parameters():
         lm.make_grid(16, -4.0, 4.0, mass=-1.0)
 
 
+
+@pytest.mark.parametrize("kwargs", [
+    {"q_min": -np.inf}, {"q_max": np.inf}, {"q_max": np.nan},
+    {"hbar": np.inf}, {"mass": np.inf}])
+def test_make_grid_rejects_non_finite_parameters(kwargs):
+    args = {"n": 16, "q_min": -4.0, "q_max": 4.0, **kwargs}
+    with pytest.raises(lm.ConfigError, match="finite"):
+        lm.make_grid(**args)
+
+
+def test_require_normalized_rejects_nan(gauss512):
+    amp = gauss512.amp.copy()
+    amp[3] = np.nan
+    with pytest.raises(lm.PreconditionError, match="normalized"):
+        lm.global_average(lm.Wavefunction(gauss512.grid, amp),
+                          lm.momentum_power(1))
 def test_momentum_grid_wrapped_vs_sorted(grid512):
     assert np.array_equal(np.sort(grid512.p_wrapped), grid512.p)
     assert grid512.p[grid512.n // 2] == 0.0

@@ -238,6 +238,29 @@ def test_diagonal_observable_variances_vanish_pointwise(gauss512):
     assert np.max(np.abs(vc.profile.values[m])) < 1e-10
 
 
+@pytest.mark.parametrize("grid_name", ["grid512", "grid16"])
+def test_W_local_variance_accurate_to_the_mask_edge(request, grid_name):
+    # The W densities come from the Wigner transform, whose correlation
+    # products keep relative accuracy in the tails: 8e-14 (grid512) and
+    # 1.6e-13 (grid16) off the constant hbar^2/(4 s^2).  The equivalent
+    # bilinear form of the densities misses by 4.9e-10 and 1.9e-9 here.
+    grid = request.getfixturevalue(grid_name)
+    psi = lm.synthesize(lm.Gaussian(s=1.0, k0=2.0, q0=0.0), grid)
+    prof = mm.local_variance(psi, mm.momentum_power(1), "W").profile
+    assert np.max(np.abs(prof.values[prof.mask] - 0.25)) < 1e-11
+
+
+def test_MH_profiles_equal_S(any_state):
+    for order in (1, 2, 3, 4):
+        A = mm.momentum_power(order)
+        mh = mm.local_value(any_state, A, "MH").profile
+        s = mm.local_value(any_state, A, "S").profile
+        assert np.array_equal(mh.values, s.values)
+    p = mm.momentum_power(1)
+    assert np.array_equal(mm.local_variance(any_state, p, "MH").profile.values,
+                          mm.local_variance(any_state, p, "S").profile.values)
+
+
 def test_variance_decomposition_rejects_heavy_masking(gauss512):
     with pytest.raises(lm.PreconditionError, match="unreliable"):
         lm.variance_decomposition(gauss512, mm.momentum_power(1), "S",

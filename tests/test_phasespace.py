@@ -314,6 +314,22 @@ def test_bayes_product_flags_inconsistency(gauss512):
         lm.bayes_product(gauss512, P + 1e-5)
 
 
+def test_bayes_product_flags_nan_cell(gauss512):
+    P = lm.conditional_momentum_S(gauss512)
+    P[200, 256] = np.nan
+    with pytest.raises(lm.SelfCheckError, match="Bayes"):
+        lm.bayes_product(gauss512, P)
+
+
+def test_locmom_threads_rejected_by_transforms(monkeypatch, gauss512):
+    monkeypatch.setenv("LOCMOM_THREADS", "soon")
+    with pytest.raises(lm.ConfigError, match="LOCMOM_THREADS"):
+        lm.wigner_transform(gauss512)
+    monkeypatch.setenv("LOCMOM_THREADS", "-1")
+    with pytest.raises(lm.ConfigError, match="LOCMOM_THREADS"):
+        lm.wigner_transform(gauss512)
+
+
 # ---------------------------------------------------------------------------
 # Variance difference term (W vs MH vs C)
 
