@@ -10,11 +10,9 @@ Every command is deterministic: identical configuration produces
 byte-identical output files (floats at 17 significant digits).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-precondition
-failure, 4 internal self-check failure.  Errors are reported as one
+failure (among them an n x n transform whose estimated peak memory exceeds
+its budget), 4 internal self-check failure.  Errors are reported as one
 machine-readable JSON line on stderr.
-
-LOCMOM_THREADS caps internal parallelism of the batched transforms
-(0 = auto); computations are otherwise vectorized single-thread.
 """
 
 from __future__ import annotations
@@ -359,7 +357,6 @@ _COMMANDS = {"moments": cmd_moments, "decompose": cmd_decompose,
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        phasespace.fft_workers()
         args = parser.parse_args(argv)
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import ConfigError, PreconditionError
 
@@ -166,7 +165,7 @@ def momentum_representation(psi: Wavefunction) -> np.ndarray:
 def _momentum_representation_wrapped(psi: Wavefunction) -> np.ndarray:
     g = psi.grid
     phase = np.exp(-1j * g.p_wrapped * g.q_min / g.hbar)
-    return g.dq / np.sqrt(2.0 * np.pi * g.hbar) * phase * sfft.fft(psi.amp)
+    return g.dq / np.sqrt(2.0 * np.pi * g.hbar) * phase * np.fft.fft(psi.amp)
 
 
 def momentum_to_position(grid: GridSpec, phi: np.ndarray) -> np.ndarray:
@@ -174,7 +173,7 @@ def momentum_to_position(grid: GridSpec, phi: np.ndarray) -> np.ndarray:
     phi_wrapped = np.fft.ifftshift(np.asarray(phi, dtype=complex))
     phase = np.exp(1j * grid.p_wrapped * grid.q_min / grid.hbar)
     spectrum = phi_wrapped * phase / (grid.dq / np.sqrt(2.0 * np.pi * grid.hbar))
-    return sfft.ifft(spectrum)
+    return np.fft.ifft(spectrum)
 
 
 def apply_momentum_power(psi: Wavefunction, n: int) -> np.ndarray:
@@ -193,7 +192,7 @@ def apply_momentum_power(psi: Wavefunction, n: int) -> np.ndarray:
     if n == 0:
         return np.array(psi.amp, dtype=complex)
     g = psi.grid
-    return sfft.ifft((g.p_wrapped ** n) * sfft.fft(psi.amp))
+    return np.fft.ifft((g.p_wrapped ** n) * np.fft.fft(psi.amp))
 
 
 def masked_quotient(psi: Wavefunction, numerator: np.ndarray,
@@ -240,7 +239,7 @@ def spatial_derivative(field, grid: GridSpec | None = None):
     values = np.asarray(field)
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dq)
     k[grid.n // 2] = 0.0
-    out = sfft.ifft(1j * k * sfft.fft(values))
+    out = np.fft.ifft(1j * k * np.fft.fft(values))
     if not np.iscomplexobj(values):
         return out.real
     return out

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    apply_momentum_power, require_normalized,
@@ -123,7 +122,7 @@ def split_step_propagate(psi0: Wavefunction, V: Potential,
     times = [0.0]
     snapshots = [Wavefunction(g, amp.copy())]
     for step in range(1, cfg.steps + 1):
-        amp = half_v * sfft.ifft(kinetic * sfft.fft(half_v * amp))
+        amp = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * amp))
         if step % cfg.snapshot_stride == 0 or step == cfg.steps:
             times.append(step * cfg.dt)
             snapshots.append(Wavefunction(g, amp.copy()))

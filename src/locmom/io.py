@@ -68,13 +68,17 @@ def distribution_binary(kind: str, grid, dp: float,
 def read_distribution_binary(blob: bytes):
     """Inverse of distribution_binary; returns (kind, n, dq, dp, hbar, values).
 
-    Raises ConfigError on a truncated header or a body that is not 8*n*n
-    bytes."""
+    Raises ConfigError on a truncated header, a kind field that is not
+    ASCII or a body that is not 8*n*n bytes."""
     if len(blob) < _HEADER.size:
         raise ConfigError("distribution header truncated: %d of %d bytes"
                           % (len(blob), _HEADER.size))
     kind_raw, n, dq, dp, hbar = _HEADER.unpack_from(blob)
-    kind = kind_raw.rstrip(b"\0").decode("ascii")
+    try:
+        kind = kind_raw.rstrip(b"\0").decode("ascii")
+    except UnicodeDecodeError:
+        raise ConfigError("distribution kind field is not ASCII: %r"
+                          % kind_raw)
     body = len(blob) - _HEADER.size
     if body != 8 * n * n:
         raise ConfigError("distribution body holds %d bytes, expected "

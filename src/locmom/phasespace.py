@@ -32,42 +32,34 @@ The Margenau-Hill transform lives on the standard momentum grid:
     F_MH(q, p) = Re[ phi(p) conj(psi(q)) e^{i p q/hbar} ] / sqrt(2*pi*hbar).
 
 Both transforms may be negative; each distribution exposes its minimum cell
-and location as first-class metadata.
+and location as first-class metadata.  The n x n routes refuse, before any
+n x n allocation, an n whose estimated peak memory exceeds N2_MEMORY_BUDGET.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    apply_momentum_power, masked_quotient,
                    momentum_representation, require_normalized)
-from .errors import ConfigError, PreconditionError, SelfCheckError
+from .errors import PreconditionError, SelfCheckError
 
 WIGNER_EDGE_TOL = 1e-10
 BAYES_CELL_TOL = 1e-7
 
-
-def fft_workers() -> int | None:
-    """Worker count for the batched transforms, from LOCMOM_THREADS.
-
-    Unset, empty or 0 leaves scipy's default; anything but a non-negative
-    integer raises ConfigError."""
-    raw = os.environ.get("LOCMOM_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError("LOCMOM_THREADS must be a non-negative integer, "
-                          "got %r" % raw)
-    if value < 0:
-        raise ConfigError("LOCMOM_THREADS must be >= 0, got %d" % value)
-    return value or None
+# Budget for the estimated peak of one n x n route: n = 4096 fits for the
+# Wigner transform (0.96 GB), not for the conditional distribution.
+N2_MEMORY_BUDGET = 2 ** 30
+# Peak bytes per cell (index arrays, gathered products and FFT output held
+# at once), rounded up from tracemalloc peaks at n = 256..2048, so that the
+# estimate bounds the peak from n = 256 on.
+WIGNER_BYTES_PER_CELL = 57
+MH_BYTES_PER_CELL = 37
+CONDITIONAL_BYTES_PER_CELL = 83
 
 
 @dataclass(frozen=True)
@@ -116,6 +108,19 @@ class CharacteristicSlice:
     values: np.ndarray
 
 
+def _require_memory_budget(grid: GridSpec, bytes_per_cell: int,
+                           what: str) -> None:
+    """PreconditionError if n^2 * bytes_per_cell exceeds N2_MEMORY_BUDGET."""
+    need = grid.n * grid.n * bytes_per_cell
+    if need > N2_MEMORY_BUDGET:
+        fit = math.isqrt(N2_MEMORY_BUDGET // bytes_per_cell) // 2 * 2
+        raise PreconditionError(
+            "memory budget exceeded: the %s needs an estimated %.4g MB at "
+            "n = %d (%d bytes per cell), budget %.4g MB; the largest n that "
+            "fits is %d" % (what, need / 1e6, grid.n, bytes_per_cell,
+                            N2_MEMORY_BUDGET / 1e6, fit))
+
+
 def wigner_pgrid(grid: GridSpec) -> tuple[np.ndarray, float]:
     dp = np.pi * grid.hbar / (grid.n * grid.dq)
     return dp * (np.arange(grid.n) - grid.n // 2), dp
@@ -157,8 +162,9 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
     """Weyl-Wigner distribution of the state on the half-spaced p grid."""
     require_normalized(psi)
     g = psi.grid
+    _require_memory_budget(g, WIGNER_BYTES_PER_CELL, "Wigner transform")
     corr = _correlation_matrix(psi)
-    rows = g.n * sfft.ifft(corr, axis=1, workers=fft_workers())
+    rows = g.n * np.fft.ifft(corr, axis=1)
     values = np.fft.fftshift(rows.real, axes=1) * (g.dq / (np.pi * g.hbar))
     pgrid, dp = wigner_pgrid(g)
     return QuasiDistribution(kind="weyl_wigner", grid=g, pgrid=pgrid,
@@ -169,6 +175,7 @@ def margenau_hill_transform(psi: Wavefunction) -> QuasiDistribution:
     """Margenau-Hill distribution on the standard momentum grid."""
     require_normalized(psi)
     g = psi.grid
+    _require_memory_budget(g, MH_BYTES_PER_CELL, "Margenau-Hill transform")
     phi = momentum_representation(psi)
     cross = np.exp(1j * np.outer(g.q, g.p) / g.hbar)
     values = np.real(np.conj(psi.amp)[:, None] * phi[None, :] * cross)
@@ -217,6 +224,8 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
     """
     require_normalized(psi)
     g = psi.grid
+    _require_memory_budget(g, CONDITIONAL_BYTES_PER_CELL,
+                           "conditional momentum distribution")
     n = g.n
     amp = psi.amp
     live = amp != 0
@@ -228,7 +237,7 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
     G[live, :] = (amp[plus][live, :] / (2.0 * amp[live, None])
                   + np.conj(amp[minus][live, :])
                   / (2.0 * np.conj(amp[live, None])))
-    rows = sfft.fft(G, axis=1, workers=fft_workers()).real
+    rows = np.fft.fft(G, axis=1).real
     rows *= g.dq / (2.0 * np.pi * g.hbar)
     return np.fft.fftshift(rows, axes=1)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import locmom as lm
-from locmom import cli
+from locmom import cli, phasespace
 from locmom.cli import RunConfig
 from locmom.io import read_distribution_binary
 
@@ -334,7 +334,8 @@ def test_read_distribution_binary_rejects_cut_blob(tmp_path, capsys):
                       "--out", str(out)], capsys)
     assert code == 0
     blob = out.read_bytes()
-    for cut in (blob[:20], blob[:-8], blob + b"\0" * 8):
+    for cut in (blob[:20], blob[:-8], blob + b"\0" * 8,
+                b"\xff" * 16 + blob[16:]):
         with pytest.raises(lm.ConfigError):
             read_distribution_binary(cut)
 
@@ -353,15 +354,16 @@ def test_state_recipe_canonical_round_trip_through_cli():
     assert lm.recipe_text(recipe) == RunConfig().state
 
 
-def test_locmom_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("LOCMOM_THREADS", "2")
-    code, out, _ = run(["decompose", *GRID16, "--definition", "W"], capsys)
-    assert code == 0
-    assert json.loads(out)["residual"] < 1e-8
-    monkeypatch.setenv("LOCMOM_THREADS", "soon")
-    code, _, err = run(["decompose", *GRID16], capsys)
-    assert code == 2
-    assert "LOCMOM_THREADS" in json.loads(err)["error"]["message"]
+def test_transform_over_memory_budget_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(phasespace, "N2_MEMORY_BUDGET", 10 ** 6)
+    for argv in (["distribution", "--kind", "wigner"],
+                 ["distribution", "--kind", "mh"],
+                 ["moments", "--definition", "W"]):
+        code, out, err = run([*argv, *GRID16], capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)["error"]["message"]
+        assert "n = 512" in message and "largest n that fits is" in message
 
 
 def test_unknown_subcommand_exits_2(capsys):

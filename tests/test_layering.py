@@ -1,7 +1,12 @@
 """Import layering of the package: imports run one way at module level,
-and no module reaches into another's private names."""
+no module reaches into another's private names, and nothing imports scipy
+(numpy.fft covers every transform, and scipy.fft alone tripled the import
+time of the command-line tool)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import locmom
@@ -46,3 +51,28 @@ def test_no_private_access_across_modules():
                                                     node.value.id, node.attr))
     assert found == []
 
+
+def test_no_scipy_import():
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += ["%s:%d imports %s" % (name, node.lineno, m)
+                      for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    probe = ("import sys, locmom.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout.strip() == "[]"

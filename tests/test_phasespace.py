@@ -1,8 +1,12 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import locmom as lm
 from locmom import moments as mm
+from locmom import phasespace as ps
 from locmom.core import spatial_derivative
 
 from conftest import GAUSS, TWO_GAUSS, make_state
@@ -321,13 +325,44 @@ def test_bayes_product_flags_nan_cell(gauss512):
         lm.bayes_product(gauss512, P)
 
 
-def test_locmom_threads_rejected_by_transforms(monkeypatch, gauss512):
-    monkeypatch.setenv("LOCMOM_THREADS", "soon")
-    with pytest.raises(lm.ConfigError, match="LOCMOM_THREADS"):
-        lm.wigner_transform(gauss512)
-    monkeypatch.setenv("LOCMOM_THREADS", "-1")
-    with pytest.raises(lm.ConfigError, match="LOCMOM_THREADS"):
-        lm.wigner_transform(gauss512)
+def test_n2_transforms_refuse_over_memory_budget(monkeypatch, gauss512):
+    budget = 10 ** 6
+    monkeypatch.setattr(ps, "N2_MEMORY_BUDGET", budget)
+    for transform, per_cell in (
+            (lm.wigner_transform, ps.WIGNER_BYTES_PER_CELL),
+            (lm.margenau_hill_transform, ps.MH_BYTES_PER_CELL),
+            (lm.conditional_momentum_S, ps.CONDITIONAL_BYTES_PER_CELL)):
+        with pytest.raises(lm.PreconditionError,
+                           match="memory budget") as info:
+            transform(gauss512)
+        message = str(info.value)
+        assert "%.4g MB at n = 512" % (512 ** 2 * per_cell / 1e6) in message
+        fit = int(re.search(r"largest n that fits is (\d+)", message)[1])
+        assert fit % 2 == 0
+        assert fit ** 2 * per_cell <= budget < (fit + 2) ** 2 * per_cell
+
+
+def test_n2_transform_peaks_stay_within_their_estimates(gauss512):
+    for transform, per_cell in (
+            (lm.wigner_transform, ps.WIGNER_BYTES_PER_CELL),
+            (lm.margenau_hill_transform, ps.MH_BYTES_PER_CELL),
+            (lm.conditional_momentum_S, ps.CONDITIONAL_BYTES_PER_CELL)):
+        tracemalloc.start()
+        try:
+            transform(gauss512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 ** 2 * per_cell, transform.__name__
+
+
+def test_memory_budget_admits_an_estimate_equal_to_it(monkeypatch,
+                                                      gauss512):
+    monkeypatch.setattr(ps, "N2_MEMORY_BUDGET",
+                        512 ** 2 * ps.WIGNER_BYTES_PER_CELL)
+    assert lm.wigner_transform(gauss512).values.shape == (512, 512)
+    with pytest.raises(lm.PreconditionError, match="memory budget"):
+        lm.conditional_momentum_S(gauss512)
 
 
 # ---------------------------------------------------------------------------
