@@ -17,15 +17,13 @@ from .moments import (LocalProfile, ObservableSpec, VarianceDecomposition,
                       moment_densities, momentum_power,
                       phase_space_local_moment, phase_space_local_variance,
                       position_function, sandwich_density,
-                      variance_decomposition)
+                      variance_decomposition, variance_difference_term)
 from .phasespace import (CharacteristicSlice, QuasiDistribution,
                          bayes_product, characteristic_function_S,
                          conditional_momentum_S, margenau_hill_transform,
-                         momentum_amplitudes_at, variance_difference_term,
-                         wigner_transform)
+                         momentum_amplitudes_at, wigner_transform)
 from .classical import (ClassicalObservable, ObservableDistribution,
-                        PhaseSpaceDensity, classical_local_moment,
-                        classical_local_variance,
+                        classical_local_moment, classical_local_variance,
                         classical_variance_decomposition, gaussian_density,
                         momentum_variable, observable_distribution,
                         position_variable, wigner_as_classical)

@@ -1,16 +1,17 @@
 """Classical phase-space reference: local moments, observable distributions,
 Bayes' rule, and the exact classical variance decomposition.
 
-A PhaseSpaceDensity is a genuine (nonnegative, normalized) probability
-density F(q, p), stored on the same (q, p) lattice as the Wigner transform
-so that the Gaussian bridge comparison is a pointwise array comparison.
-All classical local variances are nonnegative, which is the structural
-contrast with the quantum definitions.
+A classical density is a phasespace.QuasiDistribution of kind "classical"
+that is a genuine (nonnegative, normalized) probability density F(q, p),
+on the same (q, p) lattice as the Wigner transform so that the Gaussian
+bridge comparison is a pointwise array comparison.  All classical local
+variances are nonnegative, which is the structural contrast with the
+quantum definitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,23 +19,10 @@ from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    variance_profile)
 from .errors import PreconditionError
 from .moments import VarianceDecomposition
-from .phasespace import wigner_pgrid, wigner_transform
+from .phasespace import QuasiDistribution, wigner_pgrid, wigner_transform
 from .states import Gaussian, StateRecipe, synthesize
 
 BIN_SUPPORT_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class PhaseSpaceDensity:
-    """Nonnegative normalized classical distribution on the (q, p) lattice."""
-
-    grid: GridSpec
-    pgrid: np.ndarray
-    dp: float
-    values: np.ndarray
-
-    def position_marginal(self) -> np.ndarray:
-        return self.values.sum(axis=1) * self.dp
 
 
 @dataclass(frozen=True)
@@ -63,10 +51,10 @@ class ObservableDistribution:
     mask: np.ndarray
 
 
-def _check_density(F: PhaseSpaceDensity) -> None:
+def _check_density(F: QuasiDistribution) -> None:
     if F.values.min() < 0:
         raise PreconditionError("classical density has negative cells")
-    total = float(F.values.sum() * F.grid.dq * F.dp)
+    total = F.total()
     if abs(total - 1.0) > 1e-10:
         raise PreconditionError("classical density not normalized: %.12g"
                                 % total)
@@ -74,7 +62,7 @@ def _check_density(F: PhaseSpaceDensity) -> None:
 
 def gaussian_density(grid: GridSpec, mean_q: float, mean_p: float,
                      sigma_q: float, sigma_p: float,
-                     corr: float = 0.0) -> PhaseSpaceDensity:
+                     corr: float = 0.0) -> QuasiDistribution:
     """Bivariate Gaussian F(q, p) on the Wigner lattice, renormalized on the
     grid (the lattice sum of a well-resolved Gaussian is already exact to
     roundoff)."""
@@ -88,38 +76,39 @@ def gaussian_density(grid: GridSpec, mean_q: float, mean_p: float,
     quad = (dq_ ** 2 - 2.0 * corr * dq_ * dp_ + dp_ ** 2) / (2.0 * (1.0 - corr ** 2))
     values = np.exp(-quad)
     values /= values.sum() * grid.dq * dp
-    return PhaseSpaceDensity(grid=grid, pgrid=pgrid, dp=dp, values=values)
+    return QuasiDistribution(kind="classical", grid=grid, pgrid=pgrid, dp=dp,
+                             values=values)
 
 
-def momentum_variable(F: PhaseSpaceDensity) -> ClassicalObservable:
+def momentum_variable(F: QuasiDistribution) -> ClassicalObservable:
     """a(q, p) = p on the lattice of F."""
     return ClassicalObservable(np.broadcast_to(
         F.pgrid[None, :], F.values.shape).copy())
 
 
-def position_variable(F: PhaseSpaceDensity, g: np.ndarray) -> ClassicalObservable:
+def position_variable(F: QuasiDistribution, g: np.ndarray) -> ClassicalObservable:
     """a(q, p) = g(q), p-independent."""
     g = np.asarray(g, dtype=float)
     return ClassicalObservable(np.broadcast_to(
         g[:, None], F.values.shape).copy())
 
 
-def _position_mask(F: PhaseSpaceDensity, eps_factor: float) -> np.ndarray:
-    P = F.position_marginal()
+def _position_mask(F: QuasiDistribution, eps_factor: float) -> np.ndarray:
+    P = F.q_marginal()
     mask = P >= eps_factor * P.max()
     if not mask.any():
         raise PreconditionError("classical density has empty support")
     return mask
 
 
-def classical_local_moment(F: PhaseSpaceDensity, a: ClassicalObservable,
+def classical_local_moment(F: QuasiDistribution, a: ClassicalObservable,
                            order: int,
                            eps_factor: float = DEFAULT_MASK_EPS) -> RealProfile:
     """n-th conditional moment of a given q: (sum_k a^n F dp) / P(q)."""
     if not 1 <= order <= 4:
         raise PreconditionError("moment order must be in 1..4, got %d" % order)
     _check_density(F)
-    P = F.position_marginal()
+    P = F.q_marginal()
     mask = _position_mask(F, eps_factor)
     density = (a.values ** order * F.values).sum(axis=1) * F.dp
     values = np.zeros(F.grid.n)
@@ -127,14 +116,14 @@ def classical_local_moment(F: PhaseSpaceDensity, a: ClassicalObservable,
     return RealProfile(F.grid, values, mask)
 
 
-def classical_local_variance(F: PhaseSpaceDensity, a: ClassicalObservable,
+def classical_local_variance(F: QuasiDistribution, a: ClassicalObservable,
                              eps_factor: float = DEFAULT_MASK_EPS) -> RealProfile:
     """Conditional variance of a given q; a true variance, nonnegative."""
     return variance_profile(classical_local_moment(F, a, 1, eps_factor),
                             classical_local_moment(F, a, 2, eps_factor))
 
 
-def observable_distribution(F: PhaseSpaceDensity, a: ClassicalObservable,
+def observable_distribution(F: QuasiDistribution, a: ClassicalObservable,
                             bin_count: int,
                             eps_factor: float = DEFAULT_MASK_EPS
                             ) -> ObservableDistribution:
@@ -184,7 +173,7 @@ def observable_distribution(F: PhaseSpaceDensity, a: ClassicalObservable,
         joint[:, j] = np.bincount(b[j], weights=weights[j], minlength=bin_count)
 
     marginal = joint.sum(axis=1) * F.grid.dq
-    P = F.position_marginal()
+    P = F.q_marginal()
     mask = _position_mask(F, eps_factor)
     conditional = np.zeros_like(joint)
     conditional[:, mask] = joint[:, mask] / P[mask][None, :]
@@ -193,7 +182,7 @@ def observable_distribution(F: PhaseSpaceDensity, a: ClassicalObservable,
                                   conditional=conditional, mask=mask)
 
 
-def classical_variance_decomposition(F: PhaseSpaceDensity,
+def classical_variance_decomposition(F: QuasiDistribution,
                                      a: ClassicalObservable,
                                      eps_factor: float = DEFAULT_MASK_EPS
                                      ) -> VarianceDecomposition:
@@ -203,7 +192,7 @@ def classical_variance_decomposition(F: PhaseSpaceDensity,
     mask): the discrete law of total variance is then an algebraic
     identity, exact to roundoff."""
     _check_density(F)
-    P = F.position_marginal()
+    P = F.q_marginal()
     live = P > 0.0
     if not live.any():
         raise PreconditionError("classical density has empty support")
@@ -222,14 +211,14 @@ def classical_variance_decomposition(F: PhaseSpaceDensity,
         total=avg_local_variance + variance_of_local_avg)
 
 
-def direct_classical_variance(F: PhaseSpaceDensity,
+def direct_classical_variance(F: QuasiDistribution,
                               a: ClassicalObservable) -> float:
     mean = float((a.values * F.values).sum() * F.grid.dq * F.dp)
     return float(((a.values - mean) ** 2 * F.values).sum() * F.grid.dq * F.dp)
 
 
 def wigner_as_classical(recipe: StateRecipe, grid: GridSpec,
-                        clip_tol: float = 1e-9) -> PhaseSpaceDensity:
+                        clip_tol: float = 1e-9) -> QuasiDistribution:
     """Wrap the Wigner transform of a Gaussian state as a genuine classical
     density (Gaussian Wigner functions are the nonnegative ones).
 
@@ -249,10 +238,10 @@ def wigner_as_classical(recipe: StateRecipe, grid: GridSpec,
             "Wigner not nonnegative: min cell %.3g below -%.1g" % (low, clip_tol))
     values = np.clip(W.values, 0.0, None)
     values = values / (values.sum() * grid.dq * W.dp)
-    return PhaseSpaceDensity(grid=grid, pgrid=W.pgrid, dp=W.dp, values=values)
+    return replace(W, kind="classical", values=values)
 
 
-def classical_pipeline_profiles(F: PhaseSpaceDensity,
+def classical_pipeline_profiles(F: QuasiDistribution,
                                 psi: Wavefunction,
                                 eps_factor: float = DEFAULT_MASK_EPS
                                 ) -> tuple[RealProfile, RealProfile]:
@@ -260,7 +249,7 @@ def classical_pipeline_profiles(F: PhaseSpaceDensity,
     masked by the quantum state's rho threshold."""
     a = momentum_variable(F)
     m1 = classical_local_moment(F, a, 1, eps_factor)
-    var = classical_local_variance(F, a, eps_factor)
+    var = variance_profile(m1, classical_local_moment(F, a, 2, eps_factor))
     mask = psi.mask(eps_factor) & m1.mask
     return (RealProfile(F.grid, m1.values, mask),
             RealProfile(F.grid, var.values, mask))

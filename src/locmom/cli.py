@@ -251,27 +251,22 @@ def cmd_distribution(cfg: RunConfig) -> int:
     grid, recipe, psi = _setup(cfg)
     if cfg.kind == "wigner":
         dist = phasespace.wigner_transform(psi)
-        kind, pgrid, dp, values = dist.kind, dist.pgrid, dist.dp, dist.values
     elif cfg.kind == "mh":
         dist = phasespace.margenau_hill_transform(psi)
-        kind, pgrid, dp, values = dist.kind, dist.pgrid, dist.dp, dist.values
     else:
-        dens = classical.wigner_as_classical(recipe, grid)
-        kind, pgrid, dp, values = "classical", dens.pgrid, dens.dp, dens.values
+        dist = classical.wigner_as_classical(recipe, grid)
 
     if cfg.out is not None:
         if cfg.format == "csv":
-            _write_output(io.distribution_csv(grid, pgrid, values), cfg.out)
+            _write_output(io.distribution_csv(dist), cfg.out)
         else:
             with open(cfg.out, "wb") as fh:
-                fh.write(io.distribution_binary(kind, grid, dp, values))
+                fh.write(io.distribution_binary(dist))
 
-    flat = int(np.argmin(values))
-    i, k = divmod(flat, values.shape[1])
-    meta = {"kind": kind, "n": grid.n, "dq": grid.dq, "dp": dp,
-            "hbar": grid.hbar, "min_value": float(values[i, k]),
-            "min_q": float(grid.q[i]), "min_p": float(pgrid[k]),
-            "out": cfg.out}
+    min_value, min_q, min_p = dist.min_cell()
+    meta = {"kind": dist.kind, "n": grid.n, "dq": grid.dq, "dp": dist.dp,
+            "hbar": grid.hbar, "min_value": min_value, "min_q": min_q,
+            "min_p": min_p, "out": cfg.out}
     sys.stdout.write(io.json_text(meta))
     return 0
 
@@ -330,23 +325,16 @@ def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.out is not None:
         rho_rows, pbar_rows, masks = [], [], []
         for snap in trace.snapshots:
-            rho = snap.rho()
-            mask = snap.mask(cfg.mask_eps)
             prof = moments.local_value_S(snap, moments.momentum_power(1),
                                          cfg.mask_eps)
-            rho_rows.append(rho)
+            rho_rows.append(snap.rho())
             pbar_rows.append(prof.profile.values)
-            masks.append(mask)
+            masks.append(prof.profile.mask)
         full = [np.ones(grid.n, dtype=bool)] * len(trace.snapshots)
-        with open(cfg.out + "_rho.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(io.trace_csv(trace, rho_rows, full))
-        with open(cfg.out + "_pbar.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(io.trace_csv(trace, pbar_rows, masks))
-        with open(cfg.out + "_report.json", "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(io.json_text(report))
+        _write_output(io.trace_csv(trace, rho_rows, full), cfg.out + "_rho.csv")
+        _write_output(io.trace_csv(trace, pbar_rows, masks),
+                      cfg.out + "_pbar.csv")
+        _write_output(io.json_text(report), cfg.out + "_report.json")
     return 0
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .moments import LocalProfile
+from .phasespace import QuasiDistribution
 
 _HEADER = struct.Struct("<16sQddd")
 
@@ -42,10 +43,10 @@ def profile_csv(profiles: Iterable[LocalProfile]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def distribution_csv(grid, pgrid: np.ndarray, values: np.ndarray) -> str:
+def distribution_csv(dist: QuasiDistribution) -> str:
     """Dense CSV with columns q, p, value (q-major, ascending p)."""
     lines = ["q,p,value"]
-    q = grid.q
+    q, pgrid, values = dist.grid.q, dist.pgrid, dist.values
     for i in range(values.shape[0]):
         qi = fmt(q[i])
         row = values[i]
@@ -54,14 +55,15 @@ def distribution_csv(grid, pgrid: np.ndarray, values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def distribution_binary(kind: str, grid, dp: float,
-                        values: np.ndarray) -> bytes:
-    kind_bytes = kind.encode("ascii")
+def distribution_binary(dist: QuasiDistribution) -> bytes:
+    kind_bytes = dist.kind.encode("ascii")
     if len(kind_bytes) > 16:
-        raise ConfigError("kind %r does not fit the 16-byte header field" % kind)
+        raise ConfigError("kind %r does not fit the 16-byte header field"
+                          % dist.kind)
+    grid = dist.grid
     header = _HEADER.pack(kind_bytes.ljust(16, b"\0"), grid.n,
-                          grid.dq, dp, grid.hbar)
-    body = np.ascontiguousarray(values, dtype="<f8").tobytes()
+                          grid.dq, dist.dp, grid.hbar)
+    body = np.ascontiguousarray(dist.values, dtype="<f8").tobytes()
     return header + body
 
 

@@ -21,7 +21,9 @@ by a rho near the mask threshold.
 A local moment is core.masked_quotient of a density by rho; a local
 variance is core.variance_profile of the first two, except that the C one
 keeps the form Im[(A psi)/psi]^2, its analytic equal.  The S local variance
-may be negative; the C one is a square and may not.
+may be negative; the C one is a square and may not.  Half the gap between
+the C and S second densities over rho is the difference term that relates
+the W, MH and C local variances of p.
 """
 
 from __future__ import annotations
@@ -269,6 +271,22 @@ def density_inequality_witness(psi: Wavefunction, A: ObservableSpec,
     (sandwich,) = moment_densities(psi, A, "C", orders=(2,))
     mask = psi.mask(eps_factor)
     return float(np.max(np.abs(sandwich - sym)[mask]))
+
+
+def variance_difference_term(psi: Wavefunction,
+                             eps_factor: float = DEFAULT_MASK_EPS
+                             ) -> RealProfile:
+    """Correction term t(q) with sigma2_W = sigma2_MH + t and
+    sigma2_W = sigma2_C - t pointwise for A = p:
+
+        t = (2 |p psi|^2 - 2 Re[conj(psi) p^2 psi]) / (4 rho),
+
+    i.e. half the gap between the sandwich and symmetrized p^2 densities,
+    over rho."""
+    p = momentum_power(1)
+    (sym,) = moment_densities(psi, p, "S", orders=(2,))
+    (sandwich,) = moment_densities(psi, p, "C", orders=(2,))
+    return masked_quotient(psi, 0.5 * (sandwich - sym), eps_factor)
 
 
 def global_average(psi: Wavefunction, A: ObservableSpec) -> float:

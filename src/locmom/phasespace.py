@@ -1,7 +1,6 @@
-"""Wigner and Margenau-Hill quasi-distributions and their momentum moment
-densities, the characteristic-function route to the conditional momentum
-distribution, and the difference term relating the W, MH and C local
-variances.
+"""The (q, p) lattice type, the Wigner and Margenau-Hill quasi-distributions
+on it and their momentum moment densities, and the characteristic-function
+route to the conditional momentum distribution.
 
 The n x n transforms are the independent phase-space route: the W local
 moments of ``moments`` are taken from the Wigner moment densities, and the
@@ -43,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
-                   apply_momentum_power, masked_quotient,
+from .core import (DEFAULT_MASK_EPS, GridSpec, Wavefunction,
                    momentum_representation, require_normalized)
 from .errors import PreconditionError, SelfCheckError
 
@@ -67,8 +65,9 @@ class QuasiDistribution:
     """Real-valued distribution on the (q, p) lattice; may be negative.
 
     values[i, k] is the cell at (q_i, pgrid[k]); pgrid is ascending with
-    spacing dp (pi*hbar/(n*dq) for weyl_wigner, 2*pi*hbar/(n*dq) for
-    margenau_hill).
+    spacing dp (pi*hbar/(n*dq) for weyl_wigner and classical,
+    2*pi*hbar/(n*dq) for margenau_hill).  A classical density (module
+    ``classical``) is nonnegative and normalized.
     """
 
     kind: str
@@ -262,20 +261,3 @@ def bayes_product(psi: Wavefunction, conditional: np.ndarray,
     return QuasiDistribution(kind="margenau_hill", grid=g, pgrid=g.p,
                              dp=g.dp, values=values)
 
-
-def variance_difference_term(psi: Wavefunction,
-                             eps_factor: float = DEFAULT_MASK_EPS
-                             ) -> RealProfile:
-    """Correction term t(q) with sigma2_W = sigma2_MH + t and
-    sigma2_W = sigma2_C - t pointwise:
-
-        t = (2 |p psi|^2 - 2 Re[conj(psi) p^2 psi]) / (4 rho),
-
-    i.e. half the gap between the sandwich and symmetrized p^2 densities,
-    over rho."""
-    require_normalized(psi)
-    p_psi = apply_momentum_power(psi, 1)
-    p2_psi = apply_momentum_power(psi, 2)
-    sandwich = np.abs(p_psi) ** 2
-    sym = np.real(np.conj(psi.amp) * p2_psi)
-    return masked_quotient(psi, 0.5 * (sandwich - sym), eps_factor)

@@ -58,7 +58,7 @@ def test_point_supported_density(grid):
     pgrid, dp = lm.phasespace.wigner_pgrid(grid)
     values = np.zeros((grid.n, grid.n))
     values[100, 200] = 1.0 / (grid.dq * dp)
-    F = cl.PhaseSpaceDensity(grid=grid, pgrid=pgrid, dp=dp, values=values)
+    F = lm.QuasiDistribution(kind="classical", grid=grid, pgrid=pgrid, dp=dp, values=values)
     a = cl.momentum_variable(F)
     var = cl.classical_local_variance(F, a)
     assert np.max(np.abs(var.values[var.mask])) < 1e-12
@@ -95,7 +95,7 @@ def test_observable_distribution_constant_observable(gauss_density):
 def test_observable_distribution_bayes_consistency(gauss_density):
     a = cl.momentum_variable(gauss_density)
     od = cl.observable_distribution(gauss_density, a, 64)
-    P = gauss_density.position_marginal()
+    P = gauss_density.q_marginal()
     reconstructed = od.conditional[:, od.mask] * P[od.mask][None, :]
     assert np.max(np.abs(reconstructed - od.joint[:, od.mask])) < 1e-10
     sums = od.conditional[:, od.mask].sum(axis=0) * od.da

@@ -206,18 +206,28 @@ def test_distribution_classical_bridge(capsys):
     assert meta["min_value"] >= 0.0
 
 
-def test_distribution_binary_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("flag,header_kind,build", [
+    ("wigner", "weyl_wigner",
+     lambda recipe, grid: lm.wigner_transform(lm.synthesize(recipe, grid))),
+    ("mh", "margenau_hill",
+     lambda recipe, grid: lm.margenau_hill_transform(
+         lm.synthesize(recipe, grid))),
+    ("classical", "classical", lm.wigner_as_classical),
+], ids=["wigner", "mh", "classical"])
+def test_distribution_binary_round_trip(tmp_path, capsys, flag, header_kind,
+                                        build):
     out = tmp_path / "w.bin"
-    code, meta_text, _ = run(["distribution", *GRID16, "--kind", "wigner",
+    code, meta_text, _ = run(["distribution", *GRID16, "--kind", flag,
                               "--format", "binary", "--out", str(out)], capsys)
     assert code == 0
     kind, n, dq, dp, hbar, values = read_distribution_binary(out.read_bytes())
-    assert (kind, n, hbar) == ("weyl_wigner", 512, 1.0)
+    assert (kind, n, hbar) == (header_kind, 512, 1.0)
     grid = lm.make_grid(512, -16.0, 16.0)
-    psi = lm.synthesize(lm.parse_recipe(RunConfig().state), grid)
-    W = lm.wigner_transform(psi)
-    assert dq == grid.dq and dp == W.dp
-    assert np.array_equal(values, W.values)
+    dist = build(lm.parse_recipe(RunConfig().state), grid)
+    assert dq == grid.dq and dp == dist.dp
+    assert np.array_equal(values, dist.values)
+    meta = json.loads(meta_text)
+    assert (meta["min_value"], meta["min_q"], meta["min_p"]) == dist.min_cell()
 
 
 def test_distribution_binary_deterministic(tmp_path, capsys):
