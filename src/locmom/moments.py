@@ -194,6 +194,10 @@ def phase_space_local_moment(F: QuasiDistribution, psi: Wavefunction,
     if not 1 <= order <= MOMENT_ORDER_CAP:
         raise PreconditionError("moment order must be in 1..%d, got %d"
                                 % (MOMENT_ORDER_CAP, order))
+    if F.kind not in _KIND_TO_DEFINITION:
+        raise PreconditionError(
+            "phase-space local moments need a weyl_wigner or margenau_hill "
+            "distribution, got kind %r" % F.kind)
     return LocalProfile(_KIND_TO_DEFINITION[F.kind], order,
                         masked_quotient(psi, F.moment_density(order),
                                         eps_factor))

@@ -17,14 +17,15 @@ The Wigner transform is computed from the symmetric correlation product,
                                 e^{2 i p j dq / hbar},
 
 whose natural momentum grid has spacing pi*hbar/(n*dq), half the standard
-spacing, because the correlation advances in steps of 2*dq.  For localized
-states (edge amplitude below 1e-10) the correlation is zero-padded: index
-pairs that would wrap around the window are dropped.  Wrapping them instead
-plants a sign-alternating ghost copy of the state half a window away, which
+spacing, because the correlation advances in steps of 2*dq.  Both factors
+are read from the amplitude padded by n/2 points per side.  For localized
+states (edge amplitude below 1e-10) the padding is zeros, so products that
+reach outside the window vanish.  Periodic padding instead plants a
+sign-alternating ghost copy of the state half a window away, which
 cancels the p-marginal on the half-spaced momentum rows; zero-padding keeps
 both marginals exact for decayed states.  Constant-modulus states (plane
-waves) are genuinely periodic, so for them the wrapped product is exact and
-is used as-is.  Anything else is rejected.
+waves) are genuinely periodic, so for them periodic padding is exact.
+Anything else is rejected.
 
 The Margenau-Hill transform lives on the standard momentum grid:
 
@@ -41,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, Wavefunction,
                    momentum_representation, require_normalized)
@@ -49,15 +51,15 @@ from .errors import PreconditionError, SelfCheckError
 WIGNER_EDGE_TOL = 1e-10
 BAYES_CELL_TOL = 1e-7
 
-# Budget for the estimated peak of one n x n route: n = 4096 fits for the
-# Wigner transform (0.96 GB), not for the conditional distribution.
+# Budget for the estimated peak of one n x n route: n = 4096 fits for all
+# three (0.86 GB for the conditional distribution, the largest).
 N2_MEMORY_BUDGET = 2 ** 30
-# Peak bytes per cell (index arrays, gathered products and FFT output held
-# at once), rounded up from tracemalloc peaks at n = 256..2048, so that the
+# Peak bytes per cell (complex products and FFT input and output held at
+# once), rounded up from tracemalloc peaks at n = 256..2048, so that the
 # estimate bounds the peak from n = 256 on.
-WIGNER_BYTES_PER_CELL = 57
+WIGNER_BYTES_PER_CELL = 35
 MH_BYTES_PER_CELL = 37
-CONDITIONAL_BYTES_PER_CELL = 83
+CONDITIONAL_BYTES_PER_CELL = 51
 
 
 @dataclass(frozen=True)
@@ -133,28 +135,13 @@ def momentum_amplitudes_at(psi: Wavefunction, pvals: np.ndarray) -> np.ndarray:
     return g.dq / np.sqrt(2.0 * np.pi * g.hbar) * phase @ psi.amp
 
 
-def _correlation_matrix(psi: Wavefunction) -> np.ndarray:
-    """Rows: q index i; columns: wrapped signed offset j; entries
-    conj(psi_{i+j}) psi_{i-j}, zero-padded or periodic per the state."""
-    g = psi.grid
-    n = g.n
-    amp = psi.amp
-    mods = np.abs(amp)
-    edge = max(mods[0], mods[-1])
-    idx = np.arange(n)
-    sj = np.where(idx < n // 2, idx, idx - n)        # 0..n/2-1, -n/2..-1
-    plus = idx[:, None] + sj[None, :]
-    minus = idx[:, None] - sj[None, :]
-    corr = np.conj(amp[plus % n]) * amp[minus % n]
-    if edge < WIGNER_EDGE_TOL:
-        valid = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
-        corr[~valid] = 0.0
-        return corr
-    if mods.max() - mods.min() < 1e-10 * mods.max():
-        return corr  # constant-modulus state: periodic product is exact
-    raise PreconditionError(
-        "edge-decay violation: |psi| = %.3g at the window edge; wraparound "
-        "would corrupt the correlation product" % edge)
+def _shift_pairs(amp: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
+    """Strided views (plus, minus) of the amplitude padded by n/2 per side
+    in np.pad ``mode``: plus[i, c] = amp[i + s] and minus[i, c] = amp[i - s]
+    for the offsets s = c - n/2, ascending over -n/2..n/2-1."""
+    n = amp.size
+    windows = sliding_window_view(np.pad(amp, n // 2, mode=mode), n + 1)[:n]
+    return windows[:, :-1], windows[:, :0:-1]
 
 
 def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
@@ -162,8 +149,19 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
     require_normalized(psi)
     g = psi.grid
     _require_memory_budget(g, WIGNER_BYTES_PER_CELL, "Wigner transform")
-    corr = _correlation_matrix(psi)
-    rows = g.n * np.fft.ifft(corr, axis=1)
+    mods = np.abs(psi.amp)
+    edge = max(mods[0], mods[-1])
+    if edge < WIGNER_EDGE_TOL:
+        mode = "constant"  # decayed state: out-of-window products are 0
+    elif mods.max() - mods.min() < 1e-10 * mods.max():
+        mode = "wrap"  # constant-modulus state: periodic product is exact
+    else:
+        raise PreconditionError(
+            "edge-decay violation: |psi| = %.3g at the window edge; "
+            "wraparound would corrupt the correlation product" % edge)
+    plus, minus = _shift_pairs(psi.amp, mode)
+    rows = np.fft.ifft(np.fft.ifftshift(np.conj(plus) * minus, axes=1), axis=1)
+    rows *= g.n
     values = np.fft.fftshift(rows.real, axes=1) * (g.dq / (np.pi * g.hbar))
     pgrid, dp = wigner_pgrid(g)
     return QuasiDistribution(kind="weyl_wigner", grid=g, pgrid=pgrid,
@@ -225,17 +223,15 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
     g = psi.grid
     _require_memory_budget(g, CONDITIONAL_BYTES_PER_CELL,
                            "conditional momentum distribution")
-    n = g.n
     amp = psi.amp
     live = amp != 0
-    idx = np.arange(n)
-    # G[i, j] for all on-grid shifts j at once (periodic indexing)
-    plus = (idx[:, None] + idx[None, :]) % n
-    minus = (idx[:, None] - idx[None, :]) % n
-    G = np.zeros((n, n), dtype=complex)
-    G[live, :] = (amp[plus][live, :] / (2.0 * amp[live, None])
-                  + np.conj(amp[minus][live, :])
-                  / (2.0 * np.conj(amp[live, None])))
+    plus, minus = _shift_pairs(amp, "wrap")
+    # G(hbar*tau = s*dq, q_i) for all on-grid shifts s at once
+    terms = plus[live, :] / (2.0 * amp[live, None])
+    terms += np.conj(minus[live, :]) / (2.0 * np.conj(amp[live, None]))
+    G = np.zeros((g.n, g.n), dtype=complex)
+    G[live, :] = np.fft.ifftshift(terms, axes=1)  # columns in FFT order
+    del terms  # freed before the FFT, as the per-cell estimate assumes
     rows = np.fft.fft(G, axis=1).real
     rows *= g.dq / (2.0 * np.pi * g.hbar)
     return np.fft.fftshift(rows, axes=1)

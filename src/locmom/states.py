@@ -78,6 +78,10 @@ def _amplitude(recipe: StateRecipe, grid: GridSpec) -> np.ndarray:
     if isinstance(recipe, Gaussian):
         if not recipe.s > 0:
             raise PreconditionError("gaussian width s must be positive")
+        if recipe.s < grid.dq:
+            raise PreconditionError(
+                "gaussian width s = %g is below the grid spacing dq = %g; "
+                "the grid cannot resolve it" % (recipe.s, grid.dq))
         lo, hi = recipe.q0 - 8.0 * recipe.s, recipe.q0 + 8.0 * recipe.s
         if lo < grid.q_min or hi > grid.q_max:
             raise PreconditionError(
@@ -240,6 +244,9 @@ def _parse_fields(body: str, spec: dict) -> dict:
             out[name] = spec[name](raw.strip())
         except ValueError as exc:
             raise ConfigError("bad value for recipe field %r: %s" % (name, exc))
+        if not np.isfinite(out[name]):
+            raise ConfigError("recipe field %r must be finite, got %s"
+                              % (name, raw.strip()))
     missing = [k for k in spec if k not in out]
     if missing:
         raise ConfigError("recipe is missing field(s): %s" % ", ".join(missing))
@@ -274,6 +281,9 @@ def parse_recipe(text: str) -> StateRecipe:
                 coeff = complex(coeff_text.strip())
             except ValueError:
                 raise ConfigError("bad complex coefficient %r" % coeff_text.strip())
+            if not np.isfinite(coeff):
+                raise ConfigError("superposition coefficient %r must be finite"
+                                  % coeff_text.strip())
             branches.append((coeff, parse_recipe(sub)))
         return Superposition(branches=tuple(branches))
     raise ConfigError(

@@ -1,9 +1,11 @@
-"""Brute-force dense-matrix route to every S/C local quantity.
+"""Brute-force dense-matrix route to every S/C local quantity, and direct
+sums for the Wigner and conditional n x n transforms.
 
 The momentum operator is the exact spectral-derivative dense matrix
 (conjugate DFT, diagonal multiply, DFT), the position projector on cell j
 is the rank-one matrix e_j e_j^T / dq, and every quantity is assembled by
-explicit matrix algebra.  Independent of the FFT pipeline being tested.
+explicit matrix algebra.  The transforms are explicit loops over their
+defining sums.  Independent of the FFT pipeline being tested.
 """
 
 import numpy as np
@@ -68,3 +70,41 @@ def local_variance_S(grid, psi, A):
 def local_variance_C(grid, psi, A):
     rho = np.abs(psi) ** 2
     return sandwich(grid, psi, A) / rho - local_value_S(grid, psi, A) ** 2
+
+
+def wigner_direct(grid, psi: np.ndarray, periodic: bool) -> np.ndarray:
+    """Re of W(q_i, p) = dq/(pi*hbar) sum_j conj(psi_{i+j}) psi_{i-j}
+    e^{2 i p j dq/hbar} over j = -n/2..n/2-1, on the half-spaced ascending
+    p grid.  Pairs outside the window wrap when periodic, else are dropped."""
+    n = grid.n
+    dp = np.pi * grid.hbar / (n * grid.dq)
+    pgrid = dp * (np.arange(n) - n // 2)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(-n // 2, n // 2):
+            a, b = i + j, i - j
+            if periodic:
+                a, b = a % n, b % n
+            elif not (0 <= a < n and 0 <= b < n):
+                continue
+            phase = np.exp(2j * pgrid * j * grid.dq / grid.hbar)
+            out[i] += np.real(np.conj(psi[a]) * psi[b] * phase)
+    return out * grid.dq / (np.pi * grid.hbar)
+
+
+def conditional_direct(grid, psi: np.ndarray) -> np.ndarray:
+    """Re of P_S(p|q_i) = dq/(2 pi hbar) sum_j G(j dq/hbar, q_i)
+    e^{-i p j dq/hbar} over j = 0..n-1, with G(tau, q) = psi(q + hbar tau)
+    / (2 psi(q)) + conj(psi(q - hbar tau)) / (2 conj(psi(q))) by periodic
+    shifting, on the standard ascending p grid; zero rows where psi = 0."""
+    n = grid.n
+    out = np.zeros((n, n))
+    for i in range(n):
+        if psi[i] == 0:
+            continue
+        for j in range(n):
+            G = (psi[(i + j) % n] / (2.0 * psi[i])
+                 + np.conj(psi[(i - j) % n]) / (2.0 * np.conj(psi[i])))
+            phase = np.exp(-1j * grid.p * j * grid.dq / grid.hbar)
+            out[i] += np.real(G * phase)
+    return out * grid.dq / (2.0 * np.pi * grid.hbar)

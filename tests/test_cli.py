@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,14 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_subprocess(argv):
+    """The CLI in a fresh interpreter that imports this same package."""
+    src = str(Path(lm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "locmom.cli", *argv],
+                          capture_output=True, env=env)
 
 
 def read_profile_csv(path):
@@ -113,6 +125,21 @@ def test_hbar_inf_exits_2(capsys):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert "hbar" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("state,code,message", [
+    ("plane_wave(k=inf)", 2, "must be finite"),
+    ("plane_wave(k=nan)", 2, "must be finite"),
+    ("gaussian(s=1.0,k0=-inf,q0=0.0)", 2, "must be finite"),
+    ("gaussian(s=1e-300,k0=0,q0=0)", 3, "grid spacing"),
+    ("gaussian(s=1e-160,k0=0,q0=0.1)", 3, "grid spacing")])
+def test_unusable_recipe_numbers_exit_with_one_json_line(state, code,
+                                                         message):
+    proc = run_subprocess(["moments", "--state", state])
+    assert proc.returncode == code and proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["error"]["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +410,9 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_subprocess_invocations_byte_identical(tmp_path):
-    import subprocess
-    import sys
-    argv = [sys.executable, "-m", "locmom.cli", "moments",
-            "--grid-n", "64", "--q-min", "-16", "--q-max", "16",
+    argv = ["moments", "--grid-n", "64", "--q-min", "-16", "--q-max", "16",
             "--definition", "S", "--order", "1"]
-    runs = [subprocess.run(argv, capture_output=True, check=True).stdout
-            for _ in range(2)]
-    assert runs[0] == runs[1]
-    assert runs[0].startswith(b"q,value,mask,definition,order")
+    runs = [run_subprocess(argv) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith(b"q,value,mask,definition,order")

@@ -9,7 +9,8 @@ from locmom import moments as mm
 from locmom import phasespace as ps
 from locmom.core import spatial_derivative
 
-from conftest import GAUSS, TWO_GAUSS, make_state
+from conftest import CORPUS, GAUSS, TWO_GAUSS, make_state
+from dense_oracle import conditional_direct, wigner_direct
 
 PLANE_K = 2.0 * np.pi * 4.0 / 40.0
 
@@ -169,6 +170,14 @@ def test_moment_order_cap(gauss512):
         lm.phase_space_local_moment(W, gauss512, 5)
 
 
+def test_moment_rejects_classical_density(grid16, gauss16):
+    F = lm.wigner_as_classical(GAUSS, grid16)
+    with pytest.raises(lm.PreconditionError, match="'classical'"):
+        lm.phase_space_local_moment(F, gauss16, 1)
+    with pytest.raises(lm.PreconditionError, match="'classical'"):
+        lm.phase_space_local_variance(F, gauss16)
+
+
 def test_mh_moments_match_S_operator_route(any_state):
     M = lm.margenau_hill_transform(any_state)
     for order in (1, 2):
@@ -323,6 +332,27 @@ def test_bayes_product_flags_nan_cell(gauss512):
     P[200, 256] = np.nan
     with pytest.raises(lm.SelfCheckError, match="Bayes"):
         lm.bayes_product(gauss512, P)
+
+
+# A Gaussian cannot be both resolved (s >= dq) and decayed at the window
+# edge on 16 points, so n = 16 covers the oscillator and the plane wave.
+DIRECT_CASES = ([(16, 10.0, name) for name in ("plane_wave", "oscillator")]
+                + [(32, 16.0, name) for name in CORPUS])
+
+
+@pytest.mark.parametrize("n,half,name", DIRECT_CASES)
+def test_n2_transforms_match_their_direct_sums(n, half, name):
+    grid = lm.make_grid(n, -half, half)
+    psi = make_state(name, grid)
+    W = lm.wigner_transform(psi).values
+    assert np.max(np.abs(W - wigner_direct(
+        grid, psi.amp, periodic=name == "plane_wave"))) < 1e-13
+    # P(p|q) grows like 1/|psi(q)| in the tails: compare each row relative
+    # to its largest cell
+    P = lm.conditional_momentum_S(psi)
+    direct = conditional_direct(grid, psi.amp)
+    scale = np.maximum(1.0, np.max(np.abs(direct), axis=1, keepdims=True))
+    assert np.max(np.abs(P - direct) / scale) < 1e-13
 
 
 def test_n2_transforms_refuse_over_memory_budget(monkeypatch, gauss512):

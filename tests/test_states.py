@@ -49,6 +49,16 @@ def test_edge_decay_enforced(grid512):
             lm.synthesize(bad, grid512)
 
 
+def test_gaussian_below_grid_spacing_rejected(grid512):
+    # dq = 40/512 = 0.078125; s = dq is still accepted
+    for s in (1e-300, 1e-160, 0.078):
+        with pytest.raises(lm.PreconditionError, match="grid spacing"):
+            lm.synthesize(lm.Gaussian(s=s, k0=0.0, q0=0.1), grid512)
+    lm.synthesize(lm.Gaussian(s=grid512.dq, k0=0.0, q0=0.0), grid512)
+    coarse = lm.make_grid(32, -18.0, 18.0)
+    lm.synthesize(lm.Gaussian(s=1.2 * coarse.dq, k0=0.0, q0=0.0), coarse)
+
+
 def test_plane_wave_commensurability(grid512):
     with pytest.raises(lm.PreconditionError, match="commensurate"):
         lm.synthesize(lm.PlaneWave(k=0.5), grid512)
@@ -144,3 +154,8 @@ def test_parse_recipe_errors_name_the_problem():
         lm.parse_recipe("gaussian(s=1.0,k0=2.0,weird=1.0)")
     with pytest.raises(lm.ConfigError, match="coefficient"):
         lm.parse_recipe("superposition(x*gaussian(s=1.0,k0=0.0,q0=0.0))")
+    with pytest.raises(lm.ConfigError, match="must be finite"):
+        lm.parse_recipe("gaussian(s=1.0,k0=inf,q0=0.0)")
+    with pytest.raises(lm.ConfigError, match="must be finite"):
+        lm.parse_recipe("superposition((nan+0j)*gaussian(s=1.0,k0=0.0,"
+                        "q0=0.0); 1*gaussian(s=1.0,k0=0.0,q0=1.0))")
