@@ -21,7 +21,8 @@ from .moments import (LocalProfile, ObservableSpec, VarianceDecomposition,
 from .phasespace import (CharacteristicSlice, QuasiDistribution,
                          bayes_product, characteristic_function_S,
                          conditional_momentum_S, margenau_hill_transform,
-                         momentum_amplitudes_at, wigner_transform)
+                         momentum_amplitudes_at, wigner_moment_densities,
+                         wigner_transform)
 from .classical import (ClassicalObservable, ObservableDistribution,
                         classical_local_moment, classical_local_variance,
                         classical_variance_decomposition, gaussian_density,
@@ -30,7 +31,8 @@ from .classical import (ClassicalObservable, ObservableDistribution,
 from .dynamics import (EvolutionTrace, Potential, PropagationConfig,
                        continuity_residual, euler_residual_W, free_potential,
                        gaussian_barrier, harmonic_potential,
-                       kinetic_energy_densities, split_step_propagate)
+                       hydrodynamic_residuals, kinetic_energy_densities,
+                       split_step_propagate)
 from .states import (Gaussian, GaussianOracle, OscillatorEigenstate,
                      PlaneWave, StateRecipe, Superposition, gaussian_oracle,
                      parse_recipe, recipe_text, synthesize)

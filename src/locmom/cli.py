@@ -303,10 +303,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
     trace = dynamics.split_step_propagate(psi, V, run)
     trace_half = dynamics.split_step_propagate(psi, V, half)
 
-    cont = dynamics.continuity_residual(trace, cfg.mask_eps)
-    cont_half = dynamics.continuity_residual(trace_half, cfg.mask_eps)
-    euler = dynamics.euler_residual_W(trace, cfg.mask_eps)
-    euler_half = dynamics.euler_residual_W(trace_half, cfg.mask_eps)
+    cont, euler = dynamics.hydrodynamic_residuals(trace, cfg.mask_eps)
+    cont_half, euler_half = dynamics.hydrodynamic_residuals(trace_half,
+                                                            cfg.mask_eps)
     drift = max(abs(s.norm() - 1.0) for s in trace.snapshots)
 
     report = {"potential": V.label, "dt": cfg.dt, "steps": cfg.steps,

@@ -166,26 +166,6 @@ def _amplitude_fields(psi: Wavefunction) -> dict:
     return {"rho": rho, "drho": drho, "D": D, "dD": dD, "m2": m2, "dm2": dm2}
 
 
-def continuity_residual(trace: EvolutionTrace,
-                        eps_factor: float = DEFAULT_MASK_EPS) -> float:
-    """Max residual of  d(rho)/dt + d(rho*pbar/m)/dq = 0.
-
-    The first local momentum moment is definition-independent
-    (S = MH = W), so the momentum density rho*pbar is evaluated once from
-    the amplitudes."""
-    dt = _require_uniform_stride(trace)
-    mass = trace.snapshots[0].grid.mass
-    fields = [_amplitude_fields(s) for s in trace.snapshots]
-    masks = [s.mask(eps_factor) for s in trace.snapshots]
-    worst = 0.0
-    for i in range(1, len(fields) - 1):
-        drho_dt = (fields[i + 1]["rho"] - fields[i - 1]["rho"]) / (2.0 * dt)
-        residual = drho_dt + fields[i]["dD"] / mass
-        mask = masks[i - 1] & masks[i] & masks[i + 1]
-        worst = max(worst, float(np.max(np.abs(residual[mask]))))
-    return worst
-
-
 WIGNER_MOMENT_DENSITY_TOL = 1e-8
 
 
@@ -200,8 +180,9 @@ def _checked_fields(psi: Wavefunction) -> dict:
     over the grid and the nonlocal Wigner correlation mixes it into the
     tail rows at the ~1e-16 density level, which the 1/rho quotient and
     the 1/(2 dt) time difference would amplify past the residual
-    tolerances.  The transform route is therefore verified here at the
-    density level and the bilinear twins are used for the differencing.
+    tolerances.  The Wigner moment-density kernel is therefore verified
+    here at the density level and the bilinear twins are used for the
+    differencing.
     """
     fields = _amplitude_fields(psi)
     m1w, m2w = moment_densities(psi, momentum_power(1), "W")
@@ -212,6 +193,57 @@ def _checked_fields(psi: Wavefunction) -> dict:
             "Wigner moment densities deviate from their bilinear forms by "
             "%.3g (tolerance %.1g)" % (dev, WIGNER_MOMENT_DENSITY_TOL))
     return fields
+
+
+def hydrodynamic_residuals(trace: EvolutionTrace,
+                           eps_factor: float = DEFAULT_MASK_EPS
+                           ) -> tuple[float, float]:
+    """(continuity_residual, euler_residual_W) of the trace from one pass
+    over its snapshots: the fields of each snapshot are computed, and
+    checked against its Wigner moment densities, once."""
+    dt = _require_uniform_stride(trace)
+    g = trace.snapshots[0].grid
+    mass = g.mass
+    grad_v = trace.potential.grad
+    masks = [s.mask(eps_factor) for s in trace.snapshots]
+    fields = [_checked_fields(s) for s in trace.snapshots]
+
+    def pbar(i: int, mask: np.ndarray) -> np.ndarray:
+        out = np.zeros(g.n)
+        out[mask] = fields[i]["D"][mask] / fields[i]["rho"][mask]
+        return out
+
+    continuity = euler = 0.0
+    for i in range(1, len(trace.snapshots) - 1):
+        mask = masks[i - 1] & masks[i] & masks[i + 1]
+        f = fields[i]
+        rho, drho, D, dD = f["rho"], f["drho"], f["D"], f["dD"]
+        drho_dt = (fields[i + 1]["rho"] - fields[i - 1]["rho"]) / (2.0 * dt)
+        flux = drho_dt + dD / mass
+        continuity = max(continuity, float(np.max(np.abs(flux[mask]))))
+        dpbar_dt = (pbar(i + 1, mask) - pbar(i - 1, mask)) / (2.0 * dt)
+        dpbar_dq = np.zeros(g.n)
+        dpbar_dq[mask] = ((dD * rho - D * drho)[mask] / rho[mask] ** 2)
+        # d(rho sigma2_W)/dq / rho  with  rho sigma2_W = M2 - D^2/rho
+        pressure = np.zeros(g.n)
+        pressure[mask] = (f["dm2"][mask]
+                          - (2.0 * D * dD)[mask] / rho[mask]
+                          + (D ** 2 * drho)[mask] / rho[mask] ** 2) / rho[mask]
+        residual = (dpbar_dt + pbar(i, mask) * dpbar_dq / mass + grad_v
+                    + pressure / mass)
+        euler = max(euler, float(np.max(np.abs(residual[mask]))))
+    return continuity, euler
+
+
+def continuity_residual(trace: EvolutionTrace,
+                        eps_factor: float = DEFAULT_MASK_EPS) -> float:
+    """Max residual of  d(rho)/dt + d(rho*pbar/m)/dq = 0.
+
+    The first local momentum moment is definition-independent
+    (S = MH = W), so the momentum density rho*pbar is evaluated once from
+    the amplitudes.  Taken from hydrodynamic_residuals, which also checks
+    each snapshot's Wigner moment densities."""
+    return hydrodynamic_residuals(trace, eps_factor)[0]
 
 
 def euler_residual_W(trace: EvolutionTrace,
@@ -225,42 +257,14 @@ def euler_residual_W(trace: EvolutionTrace,
     evaluated through, their bilinear density forms (see _checked_fields),
     and the quantum-pressure flux rho*sigma2_W = M2 - D^2/rho
     differentiated through the expanded product rule."""
-    dt = _require_uniform_stride(trace)
-    g = trace.snapshots[0].grid
-    mass = g.mass
-    grad_v = trace.potential.grad
-    masks = [s.mask(eps_factor) for s in trace.snapshots]
-    fields = [_checked_fields(s) for s in trace.snapshots]
-
-    def pbar(i: int, mask: np.ndarray) -> np.ndarray:
-        out = np.zeros(g.n)
-        out[mask] = fields[i]["D"][mask] / fields[i]["rho"][mask]
-        return out
-
-    worst = 0.0
-    for i in range(1, len(trace.snapshots) - 1):
-        mask = masks[i - 1] & masks[i] & masks[i + 1]
-        f = fields[i]
-        rho, drho, D, dD = f["rho"], f["drho"], f["D"], f["dD"]
-        dpbar_dt = (pbar(i + 1, mask) - pbar(i - 1, mask)) / (2.0 * dt)
-        dpbar_dq = np.zeros(g.n)
-        dpbar_dq[mask] = ((dD * rho - D * drho)[mask] / rho[mask] ** 2)
-        # d(rho sigma2_W)/dq / rho  with  rho sigma2_W = M2 - D^2/rho
-        pressure = np.zeros(g.n)
-        pressure[mask] = (f["dm2"][mask]
-                          - (2.0 * D * dD)[mask] / rho[mask]
-                          + (D ** 2 * drho)[mask] / rho[mask] ** 2) / rho[mask]
-        residual = (dpbar_dt + pbar(i, mask) * dpbar_dq / mass + grad_v
-                    + pressure / mass)
-        worst = max(worst, float(np.max(np.abs(residual[mask]))))
-    return worst
+    return hydrodynamic_residuals(trace, eps_factor)[1]
 
 
 def kinetic_energy_densities(psi: Wavefunction) -> dict[str, RealProfile]:
     """The three local kinetic-energy densities, keyed by definition tag:
     the second momentum-moment densities of moment_densities over 2m,
 
-        W : from the Wigner transform;
+        W : from the Wigner moment-density kernel;
         MH: Re[conj(psi) p^2 psi] / (2m)  (= the S/MH second-moment density);
         C : |p psi|^2 / (2m)              (the sandwich density).
 

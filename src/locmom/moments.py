@@ -9,14 +9,16 @@ and differ only in how the local spread splits:
 
     S, MH   Re[ conj(psi) * (A^k psi) ]       (closed form, spectral A)
     C       Re[ conj(psi) * (A psi) ], then |(A psi)|^2 for A^2
-    W       the p^(k*m) moment density of the Wigner transform, A = p^m
+    W       the p^(k*m) moment density of the Wigner function, A = p^m
 
 delta(q_hat - q) is absorbed analytically at the grid points, so no
 delta-width parameter enters.  The MH transform's moment densities agree
 with the closed form to its own roundoff, so MH takes the closed form.  W
-stays on the transform: its correlation products keep relative accuracy in
-the tails, while the equivalent bilinear form divides global FFT roundoff
-by a rho near the mask threshold.
+takes phasespace.wigner_moment_densities: one 1D kernel per order applied
+to the correlation products, which keep relative accuracy in the tails,
+while the equivalent bilinear form divides global FFT roundoff by a rho
+near the mask threshold.  It agrees with the Wigner transform's moment
+densities to roundoff and builds no n x n array.
 
 A local moment is core.masked_quotient of a density by rho; a local
 variance is core.variance_profile of the first two, except that the C one
@@ -37,7 +39,7 @@ from .core import (DEFAULT_MASK_EPS, RealProfile, Wavefunction,
                    apply_momentum_power, masked_quotient, require_normalized,
                    variance_profile)
 from .errors import PreconditionError
-from .phasespace import QuasiDistribution, wigner_transform
+from .phasespace import QuasiDistribution, wigner_moment_densities
 
 MOMENT_ORDER_CAP = 4
 
@@ -135,7 +137,8 @@ def moment_densities(psi: Wavefunction, A: ObservableSpec, definition: str,
     The phase-space definitions MH and W need a phase-space symbol: A must
     be a momentum power p^m with k*m <= MOMENT_ORDER_CAP, or a position
     function g(q), whose density g^k rho is the same under every
-    definition.  W builds one Wigner transform for all orders."""
+    definition.  W takes all orders from one pass over the correlation
+    product."""
     require_normalized(psi)
     if definition not in DEFINITIONS:
         raise PreconditionError("definition must be one of %s"
@@ -155,8 +158,8 @@ def moment_densities(psi: Wavefunction, A: ObservableSpec, definition: str,
                 "%s moments of p^%d need moment order %d > cap %d"
                 % (definition, A.order, top, MOMENT_ORDER_CAP))
         if definition == "W":
-            F = wigner_transform(psi)
-            return tuple(F.moment_density(k * A.order) for k in orders)
+            return wigner_moment_densities(
+                psi, tuple(k * A.order for k in orders))
     return tuple(_closed_density(psi, A, definition, k) for k in orders)
 
 

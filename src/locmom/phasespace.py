@@ -2,12 +2,15 @@
 on it and their momentum moment densities, and the characteristic-function
 route to the conditional momentum distribution.
 
-The n x n transforms are the independent phase-space route: the W local
-moments of ``moments`` are taken from the Wigner moment densities, and the
-Margenau-Hill transform serves as the oracle that the closed-form MH
-densities and the Bayes product are checked against.  This module builds on
-``core`` only; the local moments and variances built from these densities
-live in ``moments``.
+The W local moments of ``moments`` are taken from the Wigner moment
+densities, which wigner_moment_densities computes from the correlation
+product through one 1D kernel per order, a row block at a time, without
+the n x n transform.  The n x n transforms are the independent
+phase-space route and the ``distribution`` output: the Wigner transform's
+moment densities are the oracle for that kernel, and the Margenau-Hill
+transform the one that the closed-form MH densities and the Bayes product
+are checked against.  This module builds on ``core`` only; the local
+moments and variances built from these densities live in ``moments``.
 
 Grid conventions
 ----------------
@@ -33,7 +36,8 @@ The Margenau-Hill transform lives on the standard momentum grid:
 
 Both transforms may be negative; each distribution exposes its minimum cell
 and location as first-class metadata.  The n x n routes refuse, before any
-n x n allocation, an n whose estimated peak memory exceeds N2_MEMORY_BUDGET.
+n x n allocation, an n whose estimated peak memory exceeds N2_MEMORY_BUDGET;
+the kernel route holds O(ROW_BLOCK * n) and needs no budget.
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ N2_MEMORY_BUDGET = 2 ** 30
 WIGNER_BYTES_PER_CELL = 35
 MH_BYTES_PER_CELL = 37
 CONDITIONAL_BYTES_PER_CELL = 51
+
+# Rows of the correlation product held at once by wigner_moment_densities.
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -144,11 +151,10 @@ def _shift_pairs(amp: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
     return windows[:, :-1], windows[:, :0:-1]
 
 
-def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
-    """Weyl-Wigner distribution of the state on the half-spaced p grid."""
-    require_normalized(psi)
-    g = psi.grid
-    _require_memory_budget(g, WIGNER_BYTES_PER_CELL, "Wigner transform")
+def _correlation_pairs(psi: Wavefunction) -> tuple[np.ndarray, ...]:
+    """_shift_pairs of the amplitude in the pad mode of the Wigner
+    correlation product: zeros for a decayed state, periodic for a
+    constant-modulus one; PreconditionError for anything else."""
     mods = np.abs(psi.amp)
     edge = max(mods[0], mods[-1])
     if edge < WIGNER_EDGE_TOL:
@@ -159,13 +165,59 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
         raise PreconditionError(
             "edge-decay violation: |psi| = %.3g at the window edge; "
             "wraparound would corrupt the correlation product" % edge)
-    plus, minus = _shift_pairs(psi.amp, mode)
+    return _shift_pairs(psi.amp, mode)
+
+
+def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
+    """Weyl-Wigner distribution of the state on the half-spaced p grid."""
+    require_normalized(psi)
+    g = psi.grid
+    _require_memory_budget(g, WIGNER_BYTES_PER_CELL, "Wigner transform")
+    plus, minus = _correlation_pairs(psi)
     rows = np.fft.ifft(np.fft.ifftshift(np.conj(plus) * minus, axes=1), axis=1)
     rows *= g.n
     values = np.fft.fftshift(rows.real, axes=1) * (g.dq / (np.pi * g.hbar))
     pgrid, dp = wigner_pgrid(g)
     return QuasiDistribution(kind="weyl_wigner", grid=g, pgrid=pgrid,
                              dp=dp, values=values)
+
+
+def wigner_moment_densities(psi: Wavefunction,
+                            orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The momentum moment densities sum_k pgrid_k^order W[i, k] dp of the
+    Wigner transform, one per order, without building the transform.
+
+    Each density is linear in the correlation row c_i(s) =
+    conj(psi(q_{i+s})) psi(q_{i-s}): it is Re(c_i @ K) with the kernel
+    K = fftshift(n ifft(ifftshift(pgrid^order))) dp dq/(pi hbar), the
+    discrete form of (hbar/2i)^order d^order/dy^order of
+    conj(psi(q + y/2)) psi(q - y/2) at y = 0.  As c_i(-s) = conj(c_i(s))
+    and K is the transform of a real sequence, the columns s = -n/2+1..-1
+    count twice in place of s = 1..n/2-1, leaving s = -n/2..0.  ROW_BLOCK
+    rows are held at a time, so the peak memory is O(ROW_BLOCK * n) and no
+    n x n array is built.
+    """
+    require_normalized(psi)
+    g = psi.grid
+    n, half = g.n, g.n // 2
+    plus, minus = _correlation_pairs(psi)
+    pgrid, dp = wigner_pgrid(g)
+    # K at s = -t is rfft(ifftshift(pgrid^order))[t] for t = 0..n/2
+    powers = np.fft.ifftshift(pgrid) ** np.asarray(orders)[:, None]
+    K = np.fft.rfft(powers)[:, ::-1] * (dp * g.dq / (np.pi * g.hbar))
+    K[:, 1:half] *= 2.0
+    # Re(K c) = K.real c.real - K.imag c.imag: one real product of the
+    # interleaved (real, imag) views of conj(K) and the correlation block
+    kernel = np.conj(K).view(float)
+    out = np.empty((len(orders), n))
+    block = np.empty((min(ROW_BLOCK, n), half + 1), dtype=complex)
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n))
+        c = block[:rows.stop - start]
+        np.conjugate(plus[rows, :half + 1], out=c)
+        c *= minus[rows, :half + 1]
+        out[:, rows] = kernel @ c.view(float).T
+    return tuple(out)
 
 
 def margenau_hill_transform(psi: Wavefunction) -> QuasiDistribution:

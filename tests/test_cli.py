@@ -394,13 +394,17 @@ def test_state_recipe_canonical_round_trip_through_cli():
 def test_transform_over_memory_budget_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(phasespace, "N2_MEMORY_BUDGET", 10 ** 6)
     for argv in (["distribution", "--kind", "wigner"],
-                 ["distribution", "--kind", "mh"],
-                 ["moments", "--definition", "W"]):
+                 ["distribution", "--kind", "mh"]):
         code, out, err = run([*argv, *GRID16], capsys)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1
         message = json.loads(err)["error"]["message"]
         assert "n = 512" in message and "largest n that fits is" in message
+    # W profiles build no n x n array, so the budget does not refuse them
+    for argv in (["moments", "--definition", "W"],
+                 ["decompose", "--definition", "W"]):
+        code, out, err = run([*argv, *GRID16], capsys)
+        assert code == 0 and out != "" and err == ""
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -412,6 +416,15 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_subprocess_invocations_byte_identical(tmp_path):
     argv = ["moments", "--grid-n", "64", "--q-min", "-16", "--q-max", "16",
             "--definition", "S", "--order", "1"]
+    runs = [run_subprocess(argv) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith(b"q,value,mask,definition,order")
+
+
+def test_subprocess_invocations_byte_identical_W(tmp_path):
+    argv = ["moments", "--grid-n", "64", "--q-min", "-16", "--q-max", "16",
+            "--definition", "W", "--order", "variance"]
     runs = [run_subprocess(argv) for _ in range(2)]
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout

@@ -1,7 +1,8 @@
 """Import layering of the package: imports run one way at module level,
-no module reaches into another's private names, and nothing imports scipy
+no module reaches into another's private names, nothing imports scipy
 (numpy.fft covers every transform, and scipy.fft alone tripled the import
-time of the command-line tool)."""
+time of the command-line tool), and no 1D profile goes through the n x n
+Wigner transform."""
 
 import ast
 import os
@@ -9,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import locmom
+from locmom import cli, dynamics, phasespace
 
 SRC = Path(locmom.__file__).parent
 
@@ -76,3 +80,26 @@ def test_cli_import_loads_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert run.stdout.strip() == "[]"
+
+
+def test_profiles_and_evolve_build_no_wigner_transform(monkeypatch, capsys):
+    def refuse(psi):
+        raise AssertionError("the n x n Wigner transform was built")
+
+    original = phasespace.wigner_transform
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "locmom"
+                and getattr(module, "wigner_transform", None) is original):
+            monkeypatch.setattr(module, "wigner_transform", refuse)
+    grid = ["--grid-n", "128", "--q-min", "-16", "--q-max", "16"]
+    for argv in (["moments", "--definition", "W"],
+                 ["moments", "--definition", "all", "--order", "4"],
+                 ["decompose", "--definition", "W"],
+                 ["evolve", "--steps", "10"]):
+        assert cli.main([*argv, *grid]) == 0, argv
+    capsys.readouterr()
+    psi = locmom.synthesize(locmom.Gaussian(s=1.0, k0=2.0, q0=0.0),
+                            locmom.make_grid(128, -16.0, 16.0))
+    assert set(dynamics.kinetic_energy_densities(psi)) == {"W", "MH", "C"}
+    with pytest.raises(AssertionError, match="transform was built"):
+        locmom.wigner_transform(psi)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import locmom as lm
 from locmom import moments as mm
@@ -80,6 +82,74 @@ def test_wigner_rejects_corrupt_edge(grid512):
     psi = lm.normalize(lm.Wavefunction(grid512, amp))
     with pytest.raises(lm.PreconditionError, match="edge-decay"):
         lm.wigner_transform(psi)
+
+
+# ---------------------------------------------------------------------------
+# Wigner moment densities from the 1D kernel
+
+
+def kernel_tolerance(psi, order):
+    """A few eps of max(rho) * p_max^order, p_max = pi*hbar/(2 dq) the W
+    half-band edge: the roundoff of an order-th momentum moment density,
+    which both routes share (measured: at most 4.6e-16 of this scale)."""
+    p_max = np.pi * psi.grid.hbar / (2.0 * psi.grid.dq)
+    return 16 * np.finfo(float).eps * np.max(psi.rho()) * p_max ** order
+
+
+# n = 200 is one partial row block; n = 600 ends in one
+@pytest.mark.parametrize("n", [200, 512, 600])
+@pytest.mark.parametrize("name", CORPUS)
+def test_wigner_moment_densities_match_the_transform(n, name):
+    psi = make_state(name, lm.make_grid(n, -20.0, 20.0))
+    W = lm.wigner_transform(psi)
+    orders = (1, 2, 3, 4)
+    for order, density in zip(orders, lm.wigner_moment_densities(psi, orders)):
+        dev = np.max(np.abs(density - W.moment_density(order)))
+        assert dev < kernel_tolerance(psi, order), (order, dev)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(names=st.lists(st.sampled_from(CORPUS), min_size=1, max_size=3),
+       coeffs=st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+                       min_size=3, max_size=3),
+       n=st.integers(80, 400).map(lambda k: 2 * k),
+       half=st.sampled_from((16.0, 20.0, 24.0)))
+def test_wigner_moment_densities_match_the_transform_on_superpositions(
+        names, coeffs, n, half):
+    grid = lm.make_grid(n, -half, half)
+    amp = sum(c * make_state(name, grid).amp for c, name in zip(coeffs, names))
+    assume(np.max(np.abs(amp)) > 1e-3)
+    psi = lm.normalize(lm.Wavefunction(grid, amp))
+    try:
+        W = lm.wigner_transform(psi)
+    except lm.PreconditionError as exc:
+        # a plane wave plus a localized state: both refuse, in one message
+        with pytest.raises(lm.PreconditionError, match=re.escape(str(exc))):
+            lm.wigner_moment_densities(psi, (1, 2))
+        return
+    for order, density in zip((1, 2), lm.wigner_moment_densities(psi, (1, 2))):
+        dev = np.max(np.abs(density - W.moment_density(order)))
+        assert dev < kernel_tolerance(psi, order), (order, dev)
+
+
+def test_wigner_moment_densities_reject_corrupt_edge(grid512):
+    amp = np.exp(-(grid512.q - 19.0) ** 2 / 4.0).astype(complex)
+    psi = lm.normalize(lm.Wavefunction(grid512, amp))
+    with pytest.raises(lm.PreconditionError, match="edge-decay"):
+        lm.wigner_moment_densities(psi, (1,))
+
+
+def test_W_moment_densities_peak_stays_within_a_row_block():
+    n = 2048
+    psi = lm.synthesize(GAUSS, lm.make_grid(n, -64.0, 64.0))
+    tracemalloc.start()
+    try:
+        mm.moment_densities(psi, mm.momentum_power(1), "W")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one complex block of ROW_BLOCK full rows; the transform takes 134 MB
+    assert peak <= ps.ROW_BLOCK * n * 16
 
 
 # ---------------------------------------------------------------------------
