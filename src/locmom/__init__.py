@@ -22,7 +22,7 @@ from .phasespace import (CharacteristicSlice, QuasiDistribution,
                          bayes_product, characteristic_function_S,
                          conditional_momentum_S, margenau_hill_transform,
                          momentum_amplitudes_at, wigner_moment_densities,
-                         wigner_transform)
+                         wigner_moment_density_stack, wigner_transform)
 from .classical import (ClassicalObservable, ObservableDistribution,
                         classical_local_moment, classical_local_variance,
                         classical_variance_decomposition, gaussian_density,

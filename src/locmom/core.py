@@ -37,6 +37,9 @@ EDGE_DECAY_TOL = 1e-12
 
 MOMENTUM_POWER_CAP = 8
 
+# Largest |norm - 1| that require_normalized accepts.
+NORM_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -146,10 +149,13 @@ def normalize(psi: Wavefunction) -> Wavefunction:
     return Wavefunction(psi.grid, amp / nrm)
 
 
-def require_normalized(psi: Wavefunction, tol: float = 1e-8) -> None:
+def require_normalized(psi: Wavefunction, tol: float = NORM_TOL) -> None:
     if not abs(psi.norm() - 1.0) <= tol:
-        raise PreconditionError(
-            "wavefunction not normalized: norm=%.12g" % psi.norm())
+        raise normalization_error(psi.norm())
+
+
+def normalization_error(norm: float) -> PreconditionError:
+    return PreconditionError("wavefunction not normalized: norm=%.12g" % norm)
 
 
 def momentum_representation(psi: Wavefunction) -> np.ndarray:

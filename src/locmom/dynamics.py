@@ -17,6 +17,15 @@ with D', rho' and the second-moment derivative built by the product rule
 from spectrally differentiated amplitude fields.  That keeps the roundoff
 proportional to the local amplitude and the residual floors far below the
 stated tolerances.
+
+A trace is worked on in chunks of consecutive snapshots stacked as
+(snapshots, n) arrays: the fields, the Wigner cross-check and the time
+differences each run over a whole chunk at once, so that the cost per
+snapshot is the arithmetic on its rows and not a round of Python and
+FFT set-up.  Chunks hold max(1, CHUNK_ROWS // n) snapshots, which keeps
+the working set O(ROW_BLOCK * n) beyond the stored fields.  The checks
+keep the order of a snapshot-by-snapshot pass: the first snapshot in time
+that fails raises the error of its first failing check.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    spatial_derivative)
 from .errors import PreconditionError, SelfCheckError
 from .moments import moment_densities, momentum_power
+from .phasespace import ROW_BLOCK, wigner_moment_density_stack
 
 STABILITY_LIMIT = 0.5
 
@@ -144,34 +154,39 @@ def _require_uniform_stride(trace: EvolutionTrace) -> float:
     return float(gaps[0])
 
 
-def _amplitude_fields(psi: Wavefunction) -> dict:
-    """Density, momentum density and second-moment density together with
-    their exact product-rule spatial derivatives."""
-    g = psi.grid
-    amp = psi.amp
-    d1 = spatial_derivative(amp, g)
+def _amplitude_fields(amps: np.ndarray, g: GridSpec, out: np.ndarray) -> None:
+    """Density, momentum density and second-moment density of each
+    amplitude row, with their exact product-rule spatial derivatives,
+    written to out = (rho, drho, D, dD, m2, dm2)."""
+    d1 = spatial_derivative(amps, g)
     d2 = spatial_derivative(d1, g)
     d3 = spatial_derivative(d2, g)
     p_psi = -1j * g.hbar * d1
     p_psi_d = -1j * g.hbar * d2
     p2_psi = -g.hbar ** 2 * d2
     p2_psi_d = -g.hbar ** 2 * d3
-    rho = np.abs(amp) ** 2
-    drho = 2.0 * np.real(np.conj(amp) * d1)
-    D = np.real(np.conj(amp) * p_psi)
-    dD = np.real(np.conj(d1) * p_psi + np.conj(amp) * p_psi_d)
-    m2 = 0.5 * np.real(np.conj(amp) * p2_psi) + 0.5 * np.abs(p_psi) ** 2
-    dm2 = (0.5 * np.real(np.conj(d1) * p2_psi + np.conj(amp) * p2_psi_d)
-           + np.real(np.conj(p_psi) * p_psi_d))
-    return {"rho": rho, "drho": drho, "D": D, "dD": dD, "m2": m2, "dm2": dm2}
+    rho, drho, D, dD, m2, dm2 = out
+    rho[...] = np.abs(amps) ** 2
+    drho[...] = 2.0 * np.real(np.conj(amps) * d1)
+    D[...] = np.real(np.conj(amps) * p_psi)
+    dD[...] = np.real(np.conj(d1) * p_psi + np.conj(amps) * p_psi_d)
+    m2[...] = (0.5 * np.real(np.conj(amps) * p2_psi)
+               + 0.5 * np.abs(p_psi) ** 2)
+    dm2[...] = (0.5 * np.real(np.conj(d1) * p2_psi + np.conj(amps) * p2_psi_d)
+                + np.real(np.conj(p_psi) * p_psi_d))
 
 
 WIGNER_MOMENT_DENSITY_TOL = 1e-8
 
+# Snapshot rows (snapshots x grid points) that hydrodynamic_residuals
+# works on at once, beyond the fields it stores: a chunk holds
+# max(1, CHUNK_ROWS // n) snapshots.
+CHUNK_ROWS = 16 * ROW_BLOCK
 
-def _checked_fields(psi: Wavefunction) -> dict:
-    """Amplitude fields of a snapshot, cross-checked against its Wigner
-    moment densities (moment_densities, definition W).
+
+def _checked_fields(snapshots, g: GridSpec, out: np.ndarray) -> None:
+    """Amplitude fields of consecutive snapshots (written to out), each
+    cross-checked against its Wigner moment densities.
 
     The Wigner first and second moment densities coincide analytically
     with the bilinear forms D = Re[conj(psi) p psi] and
@@ -182,56 +197,79 @@ def _checked_fields(psi: Wavefunction) -> dict:
     the 1/(2 dt) time difference would amplify past the residual
     tolerances.  The Wigner moment-density kernel is therefore verified
     here at the density level and the bilinear twins are used for the
-    differencing.
+    differencing.  The first snapshot that fails raises the error of its
+    first failing check: normalization, pad mode, then the densities.
     """
-    fields = _amplitude_fields(psi)
-    m1w, m2w = moment_densities(psi, momentum_power(1), "W")
-    dev = max(float(np.max(np.abs(m1w - fields["D"]))),
-              float(np.max(np.abs(m2w - fields["m2"]))))
-    if not dev <= WIGNER_MOMENT_DENSITY_TOL:
+    amps = np.stack([s.amp for s in snapshots])
+    _amplitude_fields(amps, g, out)
+    (m1w, m2w), error = wigner_moment_density_stack(amps, g, (1, 2))
+    D, m2 = out[2, :len(m1w)], out[4, :len(m1w)]
+    dev = np.maximum(np.max(np.abs(m1w - D), axis=1),
+                     np.max(np.abs(m2w - m2), axis=1))
+    failed = ~(dev <= WIGNER_MOMENT_DENSITY_TOL)
+    if failed.any():
         raise SelfCheckError(
             "Wigner moment densities deviate from their bilinear forms by "
-            "%.3g (tolerance %.1g)" % (dev, WIGNER_MOMENT_DENSITY_TOL))
-    return fields
+            "%.3g (tolerance %.1g)"
+            % (dev[np.argmax(failed)], WIGNER_MOMENT_DENSITY_TOL))
+    if error is not None:
+        raise error
+
+
+def _quotient_on(mask: np.ndarray, num: np.ndarray,
+                 den: np.ndarray) -> np.ndarray:
+    """num / den on mask, zero elsewhere."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=mask)
 
 
 def hydrodynamic_residuals(trace: EvolutionTrace,
                            eps_factor: float = DEFAULT_MASK_EPS
                            ) -> tuple[float, float]:
-    """(continuity_residual, euler_residual_W) of the trace from one pass
-    over its snapshots: the fields of each snapshot are computed, and
-    checked against its Wigner moment densities, once."""
+    """(continuity_residual, euler_residual_W) of the trace.
+
+    The six fields of every snapshot are computed once and stored as
+    (T, n) arrays, chunk by chunk of max(1, CHUNK_ROWS // n) snapshots,
+    and each chunk is checked against its Wigner moment densities
+    (_checked_fields) before the next, so that the first snapshot in time
+    order that fails raises.  The centred time differences then run over
+    the interior times of each chunk at once, reading one stored snapshot
+    beyond the chunk on each side.  Beyond the stored 6 T n floats the
+    working set is O(ROW_BLOCK n)."""
     dt = _require_uniform_stride(trace)
     g = trace.snapshots[0].grid
     mass = g.mass
     grad_v = trace.potential.grad
-    masks = [s.mask(eps_factor) for s in trace.snapshots]
-    fields = [_checked_fields(s) for s in trace.snapshots]
-
-    def pbar(i: int, mask: np.ndarray) -> np.ndarray:
-        out = np.zeros(g.n)
-        out[mask] = fields[i]["D"][mask] / fields[i]["rho"][mask]
-        return out
+    count = len(trace.snapshots)
+    chunk = max(1, CHUNK_ROWS // g.n)
+    fields = np.empty((6, count, g.n))  # rho, drho, D, dD, m2, dm2
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        _checked_fields(trace.snapshots[start:stop], g, fields[:, start:stop])
 
     continuity = euler = 0.0
-    for i in range(1, len(trace.snapshots) - 1):
-        mask = masks[i - 1] & masks[i] & masks[i + 1]
-        f = fields[i]
-        rho, drho, D, dD = f["rho"], f["drho"], f["D"], f["dD"]
-        drho_dt = (fields[i + 1]["rho"] - fields[i - 1]["rho"]) / (2.0 * dt)
+    for start in range(1, count - 1, chunk):
+        # the chunk's interior times and one stored snapshot on each side
+        window = fields[:, start - 1:min(start + chunk, count - 1) + 1]
+        rho_w, D_w = window[0], window[2]
+        own = rho_w >= eps_factor * rho_w.max(axis=1, keepdims=True)
+        mask = own[:-2] & own[1:-1] & own[2:]
+        pbar = _quotient_on(own, D_w, rho_w)
+        rho, drho, D, dD, _, dm2 = window[:, 1:-1]
+        drho_dt = (rho_w[2:] - rho_w[:-2]) / (2.0 * dt)
         flux = drho_dt + dD / mass
-        continuity = max(continuity, float(np.max(np.abs(flux[mask]))))
-        dpbar_dt = (pbar(i + 1, mask) - pbar(i - 1, mask)) / (2.0 * dt)
-        dpbar_dq = np.zeros(g.n)
-        dpbar_dq[mask] = ((dD * rho - D * drho)[mask] / rho[mask] ** 2)
+        continuity = max(continuity, float(np.max(np.abs(flux), where=mask,
+                                                  initial=0.0)))
+        dpbar_dt = (pbar[2:] - pbar[:-2]) / (2.0 * dt)
+        dpbar_dq = _quotient_on(mask, dD * rho - D * drho, rho ** 2)
         # d(rho sigma2_W)/dq / rho  with  rho sigma2_W = M2 - D^2/rho
-        pressure = np.zeros(g.n)
-        pressure[mask] = (f["dm2"][mask]
-                          - (2.0 * D * dD)[mask] / rho[mask]
-                          + (D ** 2 * drho)[mask] / rho[mask] ** 2) / rho[mask]
-        residual = (dpbar_dt + pbar(i, mask) * dpbar_dq / mass + grad_v
+        pressure = _quotient_on(mask,
+                                dm2 - _quotient_on(mask, 2.0 * D * dD, rho)
+                                + _quotient_on(mask, D ** 2 * drho, rho ** 2),
+                                rho)
+        residual = (dpbar_dt + pbar[1:-1] * dpbar_dq / mass + grad_v
                     + pressure / mass)
-        euler = max(euler, float(np.max(np.abs(residual[mask]))))
+        euler = max(euler, float(np.max(np.abs(residual), where=mask,
+                                        initial=0.0)))
     return continuity, euler
 
 

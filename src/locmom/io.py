@@ -31,27 +31,30 @@ def fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def fmt_column(values) -> list[str]:
+    """fmt of each value, in one pass over a Python list (the same bytes
+    as calling fmt per element, at half the cost)."""
+    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
+
+
 def profile_csv(profiles: Iterable[LocalProfile]) -> str:
     """Long-format CSV with columns q, value, mask, definition, order."""
     lines = ["q,value,mask,definition,order"]
     for prof in profiles:
-        grid = prof.profile.grid
-        order = str(prof.order)
-        for qj, vj, mj in zip(grid.q, prof.profile.values, prof.profile.mask):
-            lines.append("%s,%s,%d,%s,%s"
-                         % (fmt(qj), fmt(vj), int(mj), prof.definition, order))
+        tail = ",%s,%s" % (prof.definition, prof.order)
+        lines += ["%s,%s,%d%s" % (q, v, m, tail)
+                  for q, v, m in zip(fmt_column(prof.profile.grid.q),
+                                     fmt_column(prof.profile.values),
+                                     prof.profile.mask.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def distribution_csv(dist: QuasiDistribution) -> str:
     """Dense CSV with columns q, p, value (q-major, ascending p)."""
     lines = ["q,p,value"]
-    q, pgrid, values = dist.grid.q, dist.pgrid, dist.values
-    for i in range(values.shape[0]):
-        qi = fmt(q[i])
-        row = values[i]
-        for k in range(values.shape[1]):
-            lines.append("%s,%s,%s" % (qi, fmt(pgrid[k]), fmt(row[k])))
+    p = fmt_column(dist.pgrid)
+    for q, row in zip(fmt_column(dist.grid.q), dist.values):
+        lines += ["%s,%s,%s" % (q, pk, v) for pk, v in zip(p, fmt_column(row))]
     return "\n".join(lines) + "\n"
 
 
@@ -100,10 +103,11 @@ def trace_csv(trace, values_per_time: list[np.ndarray],
              "# hbar=%s" % fmt(grid.hbar),
              "# mass=%s" % fmt(grid.mass),
              "t,q,value,mask"]
-    for t, vals, mask in zip(trace.times, values_per_time, masks_per_time):
-        ts = fmt(t)
-        for qj, vj, mj in zip(grid.q, vals, mask):
-            lines.append("%s,%s,%s,%d" % (ts, fmt(qj), fmt(vj), int(mj)))
+    q = fmt_column(grid.q)
+    for t, vals, mask in zip(fmt_column(trace.times), values_per_time,
+                             masks_per_time):
+        lines += ["%s,%s,%s,%d" % (t, qj, v, m)
+                  for qj, v, m in zip(q, fmt_column(vals), mask.tolist())]
     return "\n".join(lines) + "\n"
 
 

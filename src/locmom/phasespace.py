@@ -5,12 +5,15 @@ route to the conditional momentum distribution.
 The W local moments of ``moments`` are taken from the Wigner moment
 densities, which wigner_moment_densities computes from the correlation
 product through one 1D kernel per order, a row block at a time, without
-the n x n transform.  The n x n transforms are the independent
-phase-space route and the ``distribution`` output: the Wigner transform's
-moment densities are the oracle for that kernel, and the Margenau-Hill
-transform the one that the closed-form MH densities and the Bayes product
-are checked against.  This module builds on ``core`` only; the local
-moments and variances built from these densities live in ``moments``.
+the n x n transform.  The kernel takes a stack of states on one grid
+(wigner_moment_density_stack), so that ``dynamics`` checks the snapshots
+of a trace a chunk at a time; one state is its one-row case.  The n x n
+transforms are the independent phase-space route and the ``distribution``
+output: the Wigner transform's moment densities are the oracle for that
+kernel, and the Margenau-Hill transform the one that the closed-form MH
+densities and the Bayes product are checked against.  This module builds
+on ``core`` only; the local moments and variances built from these
+densities live in ``moments``.
 
 Grid conventions
 ----------------
@@ -48,8 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (DEFAULT_MASK_EPS, GridSpec, Wavefunction,
-                   momentum_representation, require_normalized)
+from .core import (DEFAULT_MASK_EPS, NORM_TOL, GridSpec, Wavefunction,
+                   momentum_representation, normalization_error,
+                   require_normalized)
 from .errors import PreconditionError, SelfCheckError
 
 WIGNER_EDGE_TOL = 1e-10
@@ -65,7 +69,7 @@ WIGNER_BYTES_PER_CELL = 35
 MH_BYTES_PER_CELL = 37
 CONDITIONAL_BYTES_PER_CELL = 51
 
-# Rows of the correlation product held at once by wigner_moment_densities.
+# Rows of the correlation product held at once by wigner_moment_density_stack.
 ROW_BLOCK = 256
 
 
@@ -142,30 +146,39 @@ def momentum_amplitudes_at(psi: Wavefunction, pvals: np.ndarray) -> np.ndarray:
     return g.dq / np.sqrt(2.0 * np.pi * g.hbar) * phase @ psi.amp
 
 
-def _shift_pairs(amp: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
-    """Strided views (plus, minus) of the amplitude padded by n/2 per side
-    in np.pad ``mode``: plus[i, c] = amp[i + s] and minus[i, c] = amp[i - s]
-    for the offsets s = c - n/2, ascending over -n/2..n/2-1."""
-    n = amp.size
-    windows = sliding_window_view(np.pad(amp, n // 2, mode=mode), n + 1)[:n]
-    return windows[:, :-1], windows[:, :0:-1]
+def _pad_modes(amps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(wrap, allowed, edge) per amplitude row: the pad mode of the Wigner
+    correlation product, periodic (wrap) for a constant-modulus state and
+    zeros for a decayed one; whether the row is either; and its edge
+    amplitude, which _edge_violation reports for a row that is not."""
+    mods = np.abs(amps)
+    edge = np.maximum(mods[:, 0], mods[:, -1])
+    top = mods.max(axis=1)
+    decayed = edge < WIGNER_EDGE_TOL  # out-of-window products are 0
+    wrap = ~decayed & (top - mods.min(axis=1) < 1e-10 * top)
+    return wrap, decayed | wrap, edge
 
 
-def _correlation_pairs(psi: Wavefunction) -> tuple[np.ndarray, ...]:
-    """_shift_pairs of the amplitude in the pad mode of the Wigner
-    correlation product: zeros for a decayed state, periodic for a
-    constant-modulus one; PreconditionError for anything else."""
-    mods = np.abs(psi.amp)
-    edge = max(mods[0], mods[-1])
-    if edge < WIGNER_EDGE_TOL:
-        mode = "constant"  # decayed state: out-of-window products are 0
-    elif mods.max() - mods.min() < 1e-10 * mods.max():
-        mode = "wrap"  # constant-modulus state: periodic product is exact
-    else:
-        raise PreconditionError(
-            "edge-decay violation: |psi| = %.3g at the window edge; "
-            "wraparound would corrupt the correlation product" % edge)
-    return _shift_pairs(psi.amp, mode)
+def _edge_violation(edge: float) -> PreconditionError:
+    return PreconditionError(
+        "edge-decay violation: |psi| = %.3g at the window edge; "
+        "wraparound would corrupt the correlation product" % edge)
+
+
+def _shift_pairs(amps: np.ndarray, wrap: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Strided views (plus, minus) of the amplitude rows padded by n/2 per
+    side, periodically where wrap and with zeros elsewhere:
+    plus[r, i, c] = amps[r, i + s] and minus[r, i, c] = amps[r, i - s] for
+    the offsets s = c - n/2, ascending over -n/2..n/2-1."""
+    m, n = amps.shape
+    half = n // 2
+    padded = np.zeros((m, 2 * n), dtype=complex)
+    padded[:, half:half + n] = amps
+    if wrap.any():
+        padded[wrap, :half] = amps[wrap, n - half:]
+        padded[wrap, half + n:] = amps[wrap, :half]
+    windows = sliding_window_view(padded, n + 1, axis=1)[:, :n]
+    return windows[..., :-1], windows[..., :0:-1]
 
 
 def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
@@ -173,8 +186,13 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
     require_normalized(psi)
     g = psi.grid
     _require_memory_budget(g, WIGNER_BYTES_PER_CELL, "Wigner transform")
-    plus, minus = _correlation_pairs(psi)
-    rows = np.fft.ifft(np.fft.ifftshift(np.conj(plus) * minus, axes=1), axis=1)
+    amps = psi.amp[None, :]
+    wrap, allowed, edge = _pad_modes(amps)
+    if not allowed[0]:
+        raise _edge_violation(edge[0])
+    plus, minus = _shift_pairs(amps, wrap)
+    rows = np.fft.ifft(np.fft.ifftshift(np.conj(plus[0]) * minus[0], axes=1),
+                       axis=1)
     rows *= g.n
     values = np.fft.fftshift(rows.real, axes=1) * (g.dq / (np.pi * g.hbar))
     pgrid, dp = wigner_pgrid(g)
@@ -185,7 +203,26 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
 def wigner_moment_densities(psi: Wavefunction,
                             orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """The momentum moment densities sum_k pgrid_k^order W[i, k] dp of the
-    Wigner transform, one per order, without building the transform.
+    Wigner transform, one per order, without building the transform: the
+    one-row case of wigner_moment_density_stack, raising its error."""
+    densities, error = wigner_moment_density_stack(psi.amp[None, :], psi.grid,
+                                                   orders)
+    if error is not None:
+        raise error
+    return tuple(densities[:, 0])
+
+
+def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
+                                 orders: tuple[int, ...]) -> tuple:
+    """Wigner moment densities of a stack of amplitude rows (m, n) on one
+    grid: (densities, error), densities[k, r] the density of order
+    orders[k] of row r.
+
+    Each row is checked as wigner_moment_densities checks a state, first
+    its normalization, then its pad mode (_pad_modes).  densities covers
+    the rows before the first that fails, and error is that row's
+    PreconditionError (None if none fails), so that a caller checking the
+    rows in order can raise it in its place.
 
     Each density is linear in the correlation row c_i(s) =
     conj(psi(q_{i+s})) psi(q_{i-s}): it is Re(c_i @ K) with the kernel
@@ -193,31 +230,46 @@ def wigner_moment_densities(psi: Wavefunction,
     discrete form of (hbar/2i)^order d^order/dy^order of
     conj(psi(q + y/2)) psi(q - y/2) at y = 0.  As c_i(-s) = conj(c_i(s))
     and K is the transform of a real sequence, the columns s = -n/2+1..-1
-    count twice in place of s = 1..n/2-1, leaving s = -n/2..0.  ROW_BLOCK
-    rows are held at a time, so the peak memory is O(ROW_BLOCK * n) and no
-    n x n array is built.
+    count twice in place of s = 1..n/2-1, leaving s = -n/2..0.  K is built
+    once and the stack padded once per call.  The (row, q) correlation
+    rows go ROW_BLOCK at a time, whole rows of the stack together when n
+    is at most ROW_BLOCK, so the peak memory is O(ROW_BLOCK * n) beyond
+    the padded stack and no n x n array is built.
     """
-    require_normalized(psi)
-    g = psi.grid
-    n, half = g.n, g.n // 2
-    plus, minus = _correlation_pairs(psi)
-    pgrid, dp = wigner_pgrid(g)
+    norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1) * grid.dq)
+    unnormalized = ~(np.abs(norms - 1.0) <= NORM_TOL)
+    wrap, allowed, edge = _pad_modes(amps)
+    failed = unnormalized | ~allowed
+    valid, error = len(amps), None
+    if failed.any():
+        valid = int(np.argmax(failed))
+        error = (normalization_error(norms[valid]) if unnormalized[valid]
+                 else _edge_violation(edge[valid]))
+    n, half = grid.n, grid.n // 2
+    plus, minus = _shift_pairs(amps[:valid], wrap[:valid])
+    pgrid, dp = wigner_pgrid(grid)
     # K at s = -t is rfft(ifftshift(pgrid^order))[t] for t = 0..n/2
     powers = np.fft.ifftshift(pgrid) ** np.asarray(orders)[:, None]
-    K = np.fft.rfft(powers)[:, ::-1] * (dp * g.dq / (np.pi * g.hbar))
+    K = np.fft.rfft(powers)[:, ::-1] * (dp * grid.dq / (np.pi * grid.hbar))
     K[:, 1:half] *= 2.0
     # Re(K c) = K.real c.real - K.imag c.imag: one real product of the
     # interleaved (real, imag) views of conj(K) and the correlation block
     kernel = np.conj(K).view(float)
-    out = np.empty((len(orders), n))
-    block = np.empty((min(ROW_BLOCK, n), half + 1), dtype=complex)
-    for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, min(start + ROW_BLOCK, n))
-        c = block[:rows.stop - start]
-        np.conjugate(plus[rows, :half + 1], out=c)
-        c *= minus[rows, :half + 1]
-        out[:, rows] = kernel @ c.view(float).T
-    return tuple(out)
+    out = np.empty((len(orders), valid, n))
+    rows = min(ROW_BLOCK, n)  # q rows of one stack row per block
+    stack_rows = max(1, ROW_BLOCK // n)  # stack rows per block
+    buffer = np.empty(stack_rows * rows * (half + 1), dtype=complex)
+    for r0 in range(0, valid, stack_rows):
+        r = slice(r0, min(r0 + stack_rows, valid))
+        for q0 in range(0, n, rows):
+            q = slice(q0, min(q0 + rows, n))
+            shape = (r.stop - r.start, q.stop - q.start, half + 1)
+            c = buffer[:math.prod(shape)].reshape(shape)
+            np.conjugate(plus[r, q, :half + 1], out=c)
+            c *= minus[r, q, :half + 1]
+            block = kernel @ c.reshape(-1, half + 1).view(float).T
+            out[:, r, q] = block.reshape(len(orders), *shape[:2])
+    return out, error
 
 
 def margenau_hill_transform(psi: Wavefunction) -> QuasiDistribution:
@@ -277,7 +329,8 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
                            "conditional momentum distribution")
     amp = psi.amp
     live = amp != 0
-    plus, minus = _shift_pairs(amp, "wrap")
+    plus, minus = _shift_pairs(amp[None, :], np.ones(1, dtype=bool))
+    plus, minus = plus[0], minus[0]
     # G(hbar*tau = s*dq, q_i) for all on-grid shifts s at once
     terms = plus[live, :] / (2.0 * amp[live, None])
     terms += np.conj(minus[live, :]) / (2.0 * np.conj(amp[live, None]))

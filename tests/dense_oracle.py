@@ -6,9 +6,18 @@ The momentum operator is the exact spectral-derivative dense matrix
 is the rank-one matrix e_j e_j^T / dq, and every quantity is assembled by
 explicit matrix algebra.  The transforms are explicit loops over their
 defining sums.  Independent of the FFT pipeline being tested.
+
+The hydrodynamic residuals are the exception: hydrodynamic_residuals
+recomputes them one snapshot at a time with the package's own spectral
+derivative and Wigner moment densities.  It is the reference for the
+chunked dynamics.hydrodynamic_residuals, which must equal it bit for bit.
 """
 
 import numpy as np
+
+from locmom.core import spatial_derivative
+from locmom.errors import SelfCheckError
+from locmom.moments import moment_densities, momentum_power
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -108,3 +117,77 @@ def conditional_direct(grid, psi: np.ndarray) -> np.ndarray:
             phase = np.exp(-1j * grid.p * j * grid.dq / grid.hbar)
             out[i] += np.real(G * phase)
     return out * grid.dq / (2.0 * np.pi * grid.hbar)
+
+
+def amplitude_fields(psi):
+    """Density, momentum density and second-moment density of one snapshot
+    with their product-rule spatial derivatives."""
+    g = psi.grid
+    amp = psi.amp
+    d1 = spatial_derivative(amp, g)
+    d2 = spatial_derivative(d1, g)
+    d3 = spatial_derivative(d2, g)
+    p_psi = -1j * g.hbar * d1
+    p_psi_d = -1j * g.hbar * d2
+    p2_psi = -g.hbar ** 2 * d2
+    p2_psi_d = -g.hbar ** 2 * d3
+    rho = np.abs(amp) ** 2
+    drho = 2.0 * np.real(np.conj(amp) * d1)
+    D = np.real(np.conj(amp) * p_psi)
+    dD = np.real(np.conj(d1) * p_psi + np.conj(amp) * p_psi_d)
+    m2 = 0.5 * np.real(np.conj(amp) * p2_psi) + 0.5 * np.abs(p_psi) ** 2
+    dm2 = (0.5 * np.real(np.conj(d1) * p2_psi + np.conj(amp) * p2_psi_d)
+           + np.real(np.conj(p_psi) * p_psi_d))
+    return {"rho": rho, "drho": drho, "D": D, "dD": dD, "m2": m2, "dm2": dm2}
+
+
+def checked_fields(psi, tol=1e-8):
+    """amplitude_fields of one snapshot, checked against its Wigner moment
+    densities."""
+    fields = amplitude_fields(psi)
+    m1w, m2w = moment_densities(psi, momentum_power(1), "W")
+    dev = max(float(np.max(np.abs(m1w - fields["D"]))),
+              float(np.max(np.abs(m2w - fields["m2"]))))
+    if not dev <= tol:
+        raise SelfCheckError(
+            "Wigner moment densities deviate from their bilinear forms by "
+            "%.3g (tolerance %.1g)" % (dev, tol))
+    return fields
+
+
+def hydrodynamic_residuals(trace, eps_factor=1e-10):
+    """(continuity, euler) residuals one snapshot at a time: the fields of
+    each snapshot in a dict, and a Python loop over the interior times with
+    the masked points gathered by boolean indexing."""
+    times = np.asarray(trace.times)
+    dt = float(times[1] - times[0])
+    g = trace.snapshots[0].grid
+    mass = g.mass
+    grad_v = trace.potential.grad
+    masks = [s.mask(eps_factor) for s in trace.snapshots]
+    fields = [checked_fields(s) for s in trace.snapshots]
+
+    def pbar(i, mask):
+        out = np.zeros(g.n)
+        out[mask] = fields[i]["D"][mask] / fields[i]["rho"][mask]
+        return out
+
+    continuity = euler = 0.0
+    for i in range(1, len(trace.snapshots) - 1):
+        mask = masks[i - 1] & masks[i] & masks[i + 1]
+        f = fields[i]
+        rho, drho, D, dD = f["rho"], f["drho"], f["D"], f["dD"]
+        drho_dt = (fields[i + 1]["rho"] - fields[i - 1]["rho"]) / (2.0 * dt)
+        flux = drho_dt + dD / mass
+        continuity = max(continuity, float(np.max(np.abs(flux[mask]))))
+        dpbar_dt = (pbar(i + 1, mask) - pbar(i - 1, mask)) / (2.0 * dt)
+        dpbar_dq = np.zeros(g.n)
+        dpbar_dq[mask] = ((dD * rho - D * drho)[mask] / rho[mask] ** 2)
+        pressure = np.zeros(g.n)
+        pressure[mask] = (f["dm2"][mask]
+                          - (2.0 * D * dD)[mask] / rho[mask]
+                          + (D ** 2 * drho)[mask] / rho[mask] ** 2) / rho[mask]
+        residual = (dpbar_dt + pbar(i, mask) * dpbar_dq / mass + grad_v
+                    + pressure / mass)
+        euler = max(euler, float(np.max(np.abs(residual[mask]))))
+    return continuity, euler

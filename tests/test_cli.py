@@ -318,6 +318,22 @@ def test_evolve_trace_exports(tmp_path, capsys):
     assert report["steps"] == 20
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["--potential", "barrier:2.0,1.0,3.0"], 4,
+     '{"error": {"code": 4, "kind": "self-check", "message": "Wigner moment '
+     'densities deviate from their bilinear forms by 1.01e-08 (tolerance '
+     '1e-08)"}}\n'),
+    # the first snapshot passes; snapshot 45 of 101 is the first to fail
+    (["--state", "gaussian(s=0.5,k0=0.0,q0=6.0)", "--steps", "1000",
+      "--stride", "10", "--dt", "0.002"], 3,
+     '{"error": {"code": 3, "kind": "precondition", "message": "edge-decay '
+     'violation: |psi| = 1.14e-10 at the window edge; wraparound would '
+     'corrupt the correlation product"}}\n')])
+def test_evolve_reports_the_first_failing_snapshot(capsys, argv, code,
+                                                   message):
+    assert run(["evolve", *EVOLVE_GRID, *argv], capsys) == (code, "", message)
+
+
 # ---------------------------------------------------------------------------
 # config file, canonical form, environment
 
@@ -429,3 +445,15 @@ def test_subprocess_invocations_byte_identical_W(tmp_path):
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.startswith(b"q,value,mask,definition,order")
+
+
+def test_subprocess_evolve_out_byte_identical(tmp_path):
+    argv = ["evolve", *EVOLVE_GRID, "--dt", "0.002", "--steps", "20",
+            "--stride", "2"]
+    runs = [run_subprocess([*argv, "--out", str(tmp_path / name)])
+            for name in ("a", "b")]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout != b""
+    for suffix in ("_rho.csv", "_pbar.csv", "_report.json"):
+        first = (tmp_path / ("a" + suffix)).read_bytes()
+        assert first == (tmp_path / ("b" + suffix)).read_bytes() != b""

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dense_oracle
 import locmom as lm
 from locmom import dynamics as dyn
 from locmom import moments as mm
 from locmom.core import spatial_derivative
+from locmom.phasespace import ROW_BLOCK
 
 from conftest import GAUSS
 
@@ -253,3 +257,114 @@ def test_barrier_evolution_preserves_norm(grid, free_gauss):
     trace = dyn.split_step_propagate(free_gauss, V,
                                      dyn.PropagationConfig(1e-3, 200, 50))
     assert max(abs(s.norm() - 1.0) for s in trace.snapshots) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the chunked residual pass against the per-snapshot reference
+
+# (n, half-width of the window): n = 1024 exceeds ROW_BLOCK, so one
+# snapshot spans several kernel blocks
+RESIDUAL_GRIDS = ((128, 16.0), (256, 16.0), (1024, 64.0))
+
+
+def _potential(kind, grid):
+    if kind == "free":
+        return dyn.free_potential(grid)
+    if kind == "harmonic":
+        return dyn.harmonic_potential(grid, 1.0)
+    return dyn.gaussian_barrier(grid, height=1.0, width=1.0, center=3.0)
+
+
+def _chunk_length(n):
+    return max(1, dyn.CHUNK_ROWS // n)
+
+
+def _head(trace, count):
+    return dyn.EvolutionTrace(trace.potential, trace.times[:count],
+                              trace.snapshots[:count])
+
+
+@pytest.fixture(scope="module")
+def residual_traces():
+    traces = {}
+    for n, half in RESIDUAL_GRIDS:
+        grid = lm.make_grid(n, -half, half)
+        psi = lm.synthesize(GAUSS, grid)
+        for kind in ("free", "harmonic", "barrier"):
+            steps = 2 * _chunk_length(n)  # 2 L + 1 snapshots
+            traces[n, kind] = dyn.split_step_propagate(
+                psi, _potential(kind, grid),
+                dyn.PropagationConfig(1e-3, steps, 1))
+    return traces
+
+
+@pytest.mark.parametrize("kind", ["free", "harmonic", "barrier"])
+@pytest.mark.parametrize("n", [n for n, _ in RESIDUAL_GRIDS])
+def test_residuals_equal_the_per_snapshot_reference(residual_traces, n, kind):
+    trace = residual_traces[n, kind]
+    L = _chunk_length(n)
+    counts = sorted({3, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1} - {1, 2})
+    for count in counts:
+        head = _head(trace, count)
+        assert (dyn.hydrodynamic_residuals(head)
+                == dense_oracle.hydrodynamic_residuals(head)), count
+
+
+@pytest.fixture(scope="module")
+def failing_barrier_trace():
+    """The default Gaussian under barrier:2.0,1.0,3.0 at n = 128: snapshots
+    98, 99 and 100 (of 101) miss the Wigner density check by 1.01e-8,
+    1.04e-8 and 1.06e-8, all in the last chunk."""
+    grid = lm.make_grid(128, -16.0, 16.0)
+    V = dyn.gaussian_barrier(grid, height=2.0, width=1.0, center=3.0)
+    return dyn.split_step_propagate(lm.synthesize(GAUSS, grid), V,
+                                    dyn.PropagationConfig(1e-3, 100, 1))
+
+
+def _replaced(trace, index, amp):
+    snapshots = list(trace.snapshots)
+    snapshots[index] = lm.Wavefunction(trace.snapshots[0].grid, amp)
+    return dyn.EvolutionTrace(trace.potential, trace.times, tuple(snapshots))
+
+
+def test_residual_errors_come_in_time_order(failing_barrier_trace):
+    trace = failing_barrier_trace
+    with pytest.raises(lm.SelfCheckError, match="by 1.01e-08 "):
+        dyn.hydrodynamic_residuals(trace)
+    # an unnormalized snapshot after the first failing one changes nothing
+    later = _replaced(trace, 99, 2.0 * trace.snapshots[99].amp)
+    with pytest.raises(lm.SelfCheckError, match="by 1.01e-08 "):
+        dyn.hydrodynamic_residuals(later)
+    # normalization is the first check of a snapshot
+    same = _replaced(trace, 98, 2.0 * trace.snapshots[98].amp)
+    with pytest.raises(lm.PreconditionError, match="not normalized: norm=2$"):
+        dyn.hydrodynamic_residuals(same)
+    # an earlier snapshot that is not decayed at the edges fails first
+    amp = trace.snapshots[97].amp + 1e-6
+    amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * trace.snapshots[0].grid.dq)
+    earlier = _replaced(trace, 97, amp)
+    with pytest.raises(lm.PreconditionError, match="edge-decay violation"):
+        dyn.hydrodynamic_residuals(earlier)
+
+
+@pytest.mark.parametrize("n, half, count, before", [
+    (256, 16.0, 401, 8.01e6), (1024, 64.0, 101, 9.22e6)])
+def test_residual_pass_peak_memory(n, half, count, before):
+    """Beyond the six stored fields, the pass holds one kernel block of
+    ROW_BLOCK complex correlation rows and at most 16 complex arrays of
+    one chunk: O(ROW_BLOCK n), as CHUNK_ROWS <= ROW_BLOCK n.  `before` is
+    the peak of the per-snapshot pass it replaced."""
+    grid = lm.make_grid(n, -half, half)
+    trace = dyn.split_step_propagate(lm.synthesize(GAUSS, grid),
+                                     _potential("barrier", grid),
+                                     dyn.PropagationConfig(1e-3, count - 1, 1))
+    tracemalloc.start()
+    try:
+        dyn.hydrodynamic_residuals(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = 6 * count * n * 8
+    block = ROW_BLOCK * (n // 2 + 1) * 16
+    chunk = 16 * dyn.CHUNK_ROWS * 16
+    assert peak <= fields + block + chunk <= before

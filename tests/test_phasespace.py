@@ -139,6 +139,32 @@ def test_wigner_moment_densities_reject_corrupt_edge(grid512):
         lm.wigner_moment_densities(psi, (1,))
 
 
+@pytest.mark.parametrize("n", [200, 512])
+def test_wigner_moment_density_stack_rows_equal_single_states(n):
+    """A stack mixing periodic (plane wave) and zero-padded rows gives each
+    row's single-state densities; rows from the first invalid one on are
+    dropped and that row's error returned."""
+    grid = lm.make_grid(n, -20.0, 20.0)
+    states = [make_state(name, grid) for name in CORPUS]
+    amps = np.stack([psi.amp for psi in states])
+    densities, error = ps.wigner_moment_density_stack(amps, grid, (1, 2))
+    assert error is None and densities.shape == (2, len(states), n)
+    for r, psi in enumerate(states):
+        for k, single in enumerate(lm.wigner_moment_densities(psi, (1, 2))):
+            assert np.array_equal(densities[k, r], single)
+    bad = np.exp(-(grid.q - 19.0) ** 2 / 4.0).astype(complex)
+    bad /= np.sqrt(np.sum(np.abs(bad) ** 2) * grid.dq)
+    for row, message in ((bad, r"edge-decay violation: \|psi\| = 0\.5\d* "),
+                         (2.0 * amps[0], "not normalized: norm=2$")):
+        mixed = np.stack([amps[0], amps[1], row, amps[2]])
+        densities, error = ps.wigner_moment_density_stack(mixed, grid, (1,))
+        assert densities.shape == (1, 2, n)
+        assert np.array_equal(densities[0, 1],
+                              lm.wigner_moment_densities(states[1], (1,))[0])
+        assert isinstance(error, lm.PreconditionError)
+        assert re.search(message, str(error))
+
+
 def test_W_moment_densities_peak_stays_within_a_row_block():
     n = 2048
     psi = lm.synthesize(GAUSS, lm.make_grid(n, -64.0, 64.0))
