@@ -16,13 +16,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
-                   variance_profile)
-from .errors import PreconditionError
+                   quotient_on, variance_profile)
+from .errors import PreconditionError, check
 from .moments import VarianceDecomposition
 from .phasespace import QuasiDistribution, wigner_pgrid, wigner_transform
 from .states import Gaussian, StateRecipe, synthesize
 
 BIN_SUPPORT_EPS = 1e-12
+
+# Depth below zero down to which wigner_as_classical clips Wigner cells.
+WIGNER_CLIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,12 +55,10 @@ class ObservableDistribution:
 
 
 def _check_density(F: QuasiDistribution) -> None:
-    if F.values.min() < 0:
-        raise PreconditionError("classical density has negative cells")
-    total = F.total()
-    if abs(total - 1.0) > 1e-10:
-        raise PreconditionError("classical density not normalized: %.12g"
-                                % total)
+    check("classical density, depth of its lowest cell below zero",
+          -F.values.min(), 0.0, PreconditionError)
+    check("classical density, |total - 1|", abs(F.total() - 1.0), 1e-10,
+          PreconditionError)
 
 
 def gaussian_density(grid: GridSpec, mean_q: float, mean_p: float,
@@ -111,9 +112,7 @@ def classical_local_moment(F: QuasiDistribution, a: ClassicalObservable,
     P = F.q_marginal()
     mask = _position_mask(F, eps_factor)
     density = (a.values ** order * F.values).sum(axis=1) * F.dp
-    values = np.zeros(F.grid.n)
-    values[mask] = density[mask] / P[mask]
-    return RealProfile(F.grid, values, mask)
+    return RealProfile(F.grid, quotient_on(mask, density, P), mask)
 
 
 def classical_local_variance(F: QuasiDistribution, a: ClassicalObservable,
@@ -164,19 +163,17 @@ def observable_distribution(F: QuasiDistribution, a: ClassicalObservable,
         centers = start + da * np.arange(bin_count)
     edges = np.concatenate([centers - 0.5 * da, [centers[-1] + 0.5 * da]])
 
-    b = np.floor((a.values - edges[0]) / da).astype(int)
-    b = np.clip(b, 0, bin_count - 1)
-    joint = np.zeros((bin_count, F.grid.n))
-    # deposit per q column: joint is a density in (a, q)
-    weights = F.values * F.dp / da
-    for j in range(F.grid.n):
-        joint[:, j] = np.bincount(b[j], weights=weights[j], minlength=bin_count)
+    n = F.grid.n
+    b = np.clip(np.floor((a.values - edges[0]) / da).astype(int), 0,
+                bin_count - 1)
+    # one bincount over the flattened (bin, q) cells: a density in (a, q)
+    joint = np.bincount((b * n + np.arange(n)[:, None]).ravel(),
+                        (F.values * F.dp / da).ravel(),
+                        bin_count * n).reshape(bin_count, n)
 
     marginal = joint.sum(axis=1) * F.grid.dq
-    P = F.q_marginal()
     mask = _position_mask(F, eps_factor)
-    conditional = np.zeros_like(joint)
-    conditional[:, mask] = joint[:, mask] / P[mask][None, :]
+    conditional = quotient_on(mask[None, :], joint, F.q_marginal()[None, :])
     return ObservableDistribution(edges=edges, centers=centers, da=da,
                                   joint=joint, marginal=marginal,
                                   conditional=conditional, mask=mask)
@@ -218,24 +215,22 @@ def direct_classical_variance(F: QuasiDistribution,
 
 
 def wigner_as_classical(recipe: StateRecipe, grid: GridSpec,
-                        clip_tol: float = 1e-9) -> QuasiDistribution:
+                        psi: Wavefunction | None = None) -> QuasiDistribution:
     """Wrap the Wigner transform of a Gaussian state as a genuine classical
     density (Gaussian Wigner functions are the nonnegative ones).
 
-    Negative cells must stay above -clip_tol; they are clipped to zero and
-    the density renormalized.  Non-Gaussian recipes are rejected, since
-    clipping would erase real negativity.
+    psi is the state synthesized from recipe on grid; it is synthesized
+    here if not given.  Negative cells must stay above -WIGNER_CLIP_TOL;
+    they are clipped to zero and the density renormalized.  Non-Gaussian
+    recipes are rejected, since clipping would erase real negativity.
     """
     if not isinstance(recipe, Gaussian):
         raise PreconditionError(
             "Wigner not nonnegative for %s states; only gaussian recipes "
             "yield a classical density" % type(recipe).__name__)
-    psi = synthesize(recipe, grid)
-    W = wigner_transform(psi)
-    low = float(W.values.min())
-    if low < -clip_tol:
-        raise PreconditionError(
-            "Wigner not nonnegative: min cell %.3g below -%.1g" % (low, clip_tol))
+    W = wigner_transform(synthesize(recipe, grid) if psi is None else psi)
+    check("Wigner of a gaussian, depth of its lowest cell below zero",
+          -W.values.min(), WIGNER_CLIP_TOL, PreconditionError)
     values = np.clip(W.values, 0.0, None)
     values = values / (values.sum() * grid.dq * W.dp)
     return replace(W, kind="classical", values=values)

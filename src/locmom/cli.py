@@ -27,7 +27,8 @@ import numpy as np
 
 from . import classical, dynamics, io, moments, phasespace, states
 from .core import make_grid
-from .errors import ConfigError, LocmomError, PreconditionError, SelfCheckError
+from .errors import (ConfigError, LocmomError, PreconditionError,
+                     SelfCheckError, check)
 
 DECOMPOSE_RESIDUAL_TOL = 1e-8
 
@@ -229,11 +230,8 @@ def cmd_decompose(cfg: RunConfig) -> int:
     for definition in _definitions(cfg):
         deco = moments.variance_decomposition(psi, A, definition, cfg.mask_eps)
         residual = abs(deco.total - direct)
-        if not residual < DECOMPOSE_RESIDUAL_TOL:
-            raise SelfCheckError(
-                "decomposition self-check failed for definition %s: "
-                "|sum - direct| = %.3g >= %.1g"
-                % (definition, residual, DECOMPOSE_RESIDUAL_TOL))
+        check("decomposition of definition %s, |sum - direct|" % definition,
+              residual, DECOMPOSE_RESIDUAL_TOL, SelfCheckError, strict=True)
         records.append({"definition": definition,
                         "avg_local_variance": deco.avg_local_variance,
                         "variance_of_local_avg": deco.variance_of_local_avg,
@@ -254,7 +252,7 @@ def cmd_distribution(cfg: RunConfig) -> int:
     elif cfg.kind == "mh":
         dist = phasespace.margenau_hill_transform(psi)
     else:
-        dist = classical.wigner_as_classical(recipe, grid)
+        dist = classical.wigner_as_classical(recipe, grid, psi)
 
     if cfg.out is not None:
         if cfg.format == "csv":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, check
 
 # Shared relative threshold below which the probability density is considered
 # too small for quotient-based local quantities: points with
@@ -39,6 +39,7 @@ MOMENTUM_POWER_CAP = 8
 
 # Largest |norm - 1| that require_normalized accepts.
 NORM_TOL = 1e-8
+NORM_CHECK = "wavefunction |norm - 1|"
 
 
 @dataclass(frozen=True)
@@ -149,13 +150,8 @@ def normalize(psi: Wavefunction) -> Wavefunction:
     return Wavefunction(psi.grid, amp / nrm)
 
 
-def require_normalized(psi: Wavefunction, tol: float = NORM_TOL) -> None:
-    if not abs(psi.norm() - 1.0) <= tol:
-        raise normalization_error(psi.norm())
-
-
-def normalization_error(norm: float) -> PreconditionError:
-    return PreconditionError("wavefunction not normalized: norm=%.12g" % norm)
+def require_normalized(psi: Wavefunction) -> None:
+    check(NORM_CHECK, abs(psi.norm() - 1.0), NORM_TOL, PreconditionError)
 
 
 def momentum_representation(psi: Wavefunction) -> np.ndarray:
@@ -194,7 +190,7 @@ def apply_momentum_power(psi: Wavefunction, n: int) -> np.ndarray:
         raise PreconditionError("momentum power must be a non-negative integer")
     if n > MOMENTUM_POWER_CAP:
         raise PreconditionError(
-            "momentum power %d exceeds the cap %d" % (n, MOMENTUM_POWER_CAP))
+            "momentum power %d is over the cap %d" % (n, MOMENTUM_POWER_CAP))
     if n == 0:
         return np.array(psi.amp, dtype=complex)
     g = psi.grid
@@ -207,13 +203,19 @@ def masked_quotient(psi: Wavefunction, numerator: np.ndarray,
 
     The quotients are genuinely singular at nodes, so points below the rho
     threshold are masked, not regularized."""
-    rho = psi.rho()
     mask = psi.mask(eps_factor)
     if not mask.any():
         raise PreconditionError("state has no support")
-    values = np.zeros(psi.grid.n)
-    values[mask] = numerator[mask] / rho[mask]
-    return RealProfile(psi.grid, values, mask)
+    return RealProfile(psi.grid, quotient_on(mask, numerator, psi.rho()), mask)
+
+
+def quotient_on(mask: np.ndarray, num: np.ndarray,
+                den: np.ndarray) -> np.ndarray:
+    """num / den where mask, zero elsewhere (real or complex, broadcast);
+    nothing is divided off the mask."""
+    out = np.zeros(np.broadcast(num, den).shape,
+                   dtype=np.result_type(num, den, float))
+    return np.divide(num, den, out=out, where=mask)
 
 
 def variance_profile(first: RealProfile, second: RealProfile) -> RealProfile:

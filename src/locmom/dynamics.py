@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
-                   apply_momentum_power, require_normalized,
+                   apply_momentum_power, quotient_on, require_normalized,
                    spatial_derivative)
-from .errors import PreconditionError, SelfCheckError
+from .errors import PreconditionError, SelfCheckError, check
 from .moments import moment_densities, momentum_power
 from .phasespace import ROW_BLOCK, wigner_moment_density_stack
 
@@ -110,12 +110,9 @@ def check_stability(grid: GridSpec, dt: float) -> None:
     """Guard dt * T_max / hbar < 0.5 (heuristic: keeps the kinetic phase
     advance per step small)."""
     t_max = max_kinetic_eigenvalue(grid)
-    if dt * t_max / grid.hbar >= STABILITY_LIMIT:
-        suggested = 0.45 * grid.hbar / t_max
-        raise PreconditionError(
-            "stability guard: dt*T_max/hbar = %.3g >= %.2g; "
-            "suggested dt < %.3g" % (dt * t_max / grid.hbar,
-                                     STABILITY_LIMIT, suggested))
+    check("stability guard, dt*T_max/hbar", dt * t_max / grid.hbar,
+          STABILITY_LIMIT, PreconditionError, strict=True,
+          hint="suggested dt < %.3g" % (0.45 * grid.hbar / t_max))
 
 
 def split_step_propagate(psi0: Wavefunction, V: Potential,
@@ -138,10 +135,9 @@ def split_step_propagate(psi0: Wavefunction, V: Potential,
             snapshots.append(Wavefunction(g, amp.copy()))
     trace = EvolutionTrace(potential=V, times=np.array(times),
                            snapshots=tuple(snapshots))
-    worst = max(abs(s.norm() - 1.0) for s in trace.snapshots)
-    if not worst <= 1e-9:
-        raise PreconditionError("unitarity check failed: norm drift %.3g"
-                                % worst)
+    check("unitarity, norm drift |norm - 1|",
+          np.max([abs(s.norm() - 1.0) for s in trace.snapshots]), 1e-9,
+          PreconditionError)
     return trace
 
 
@@ -149,8 +145,11 @@ def _require_uniform_stride(trace: EvolutionTrace) -> float:
     if len(trace.snapshots) < 3:
         raise PreconditionError("need at least 3 snapshots for residuals")
     gaps = np.diff(trace.times)
-    if np.max(np.abs(gaps - gaps[0])) > 1e-12 * gaps[0]:
-        raise PreconditionError("snapshots are not uniformly spaced in time")
+    if not gaps[0] > 0:
+        raise PreconditionError("snapshot times must increase, got a first "
+                                "step of %r" % float(gaps[0]))
+    check("snapshot time steps, largest deviation from the first",
+          np.max(np.abs(gaps - gaps[0])), 1e-12 * gaps[0], PreconditionError)
     return float(gaps[0])
 
 
@@ -206,20 +205,11 @@ def _checked_fields(snapshots, g: GridSpec, out: np.ndarray) -> None:
     D, m2 = out[2, :len(m1w)], out[4, :len(m1w)]
     dev = np.maximum(np.max(np.abs(m1w - D), axis=1),
                      np.max(np.abs(m2w - m2), axis=1))
-    failed = ~(dev <= WIGNER_MOMENT_DENSITY_TOL)
-    if failed.any():
-        raise SelfCheckError(
-            "Wigner moment densities deviate from their bilinear forms by "
-            "%.3g (tolerance %.1g)"
-            % (dev[np.argmax(failed)], WIGNER_MOMENT_DENSITY_TOL))
+    for value in dev:
+        check("Wigner moment densities, deviation from their bilinear forms",
+              value, WIGNER_MOMENT_DENSITY_TOL, SelfCheckError)
     if error is not None:
         raise error
-
-
-def _quotient_on(mask: np.ndarray, num: np.ndarray,
-                 den: np.ndarray) -> np.ndarray:
-    """num / den on mask, zero elsewhere."""
-    return np.divide(num, den, out=np.zeros(num.shape), where=mask)
 
 
 def hydrodynamic_residuals(trace: EvolutionTrace,
@@ -253,19 +243,19 @@ def hydrodynamic_residuals(trace: EvolutionTrace,
         rho_w, D_w = window[0], window[2]
         own = rho_w >= eps_factor * rho_w.max(axis=1, keepdims=True)
         mask = own[:-2] & own[1:-1] & own[2:]
-        pbar = _quotient_on(own, D_w, rho_w)
+        pbar = quotient_on(own, D_w, rho_w)
         rho, drho, D, dD, _, dm2 = window[:, 1:-1]
         drho_dt = (rho_w[2:] - rho_w[:-2]) / (2.0 * dt)
         flux = drho_dt + dD / mass
         continuity = max(continuity, float(np.max(np.abs(flux), where=mask,
                                                   initial=0.0)))
         dpbar_dt = (pbar[2:] - pbar[:-2]) / (2.0 * dt)
-        dpbar_dq = _quotient_on(mask, dD * rho - D * drho, rho ** 2)
+        dpbar_dq = quotient_on(mask, dD * rho - D * drho, rho ** 2)
         # d(rho sigma2_W)/dq / rho  with  rho sigma2_W = M2 - D^2/rho
-        pressure = _quotient_on(mask,
-                                dm2 - _quotient_on(mask, 2.0 * D * dD, rho)
-                                + _quotient_on(mask, D ** 2 * drho, rho ** 2),
-                                rho)
+        pressure = quotient_on(mask,
+                               dm2 - quotient_on(mask, 2.0 * D * dD, rho)
+                               + quotient_on(mask, D ** 2 * drho, rho ** 2),
+                               rho)
         residual = (dpbar_dt + pbar[1:-1] * dpbar_dq / mass + grad_v
                     + pressure / mass)
         euler = max(euler, float(np.max(np.abs(residual), where=mask,

@@ -36,9 +36,9 @@ from typing import Callable
 import numpy as np
 
 from .core import (DEFAULT_MASK_EPS, RealProfile, Wavefunction,
-                   apply_momentum_power, masked_quotient, require_normalized,
-                   variance_profile)
-from .errors import PreconditionError
+                   apply_momentum_power, masked_quotient, quotient_on,
+                   require_normalized, variance_profile)
+from .errors import PreconditionError, check
 from .phasespace import QuasiDistribution, wigner_moment_densities
 
 MOMENT_ORDER_CAP = 4
@@ -237,11 +237,9 @@ def local_variance_C(psi: Wavefunction, A: ObservableSpec,
     mask = psi.mask(eps_factor)
     if not mask.any():
         raise PreconditionError("state has no support")
-    values = np.zeros(psi.grid.n)
-    ratio = A.apply(psi)[mask] / psi.amp[mask]
-    values[mask] = np.imag(ratio) ** 2
+    ratio = quotient_on(mask, A.apply(psi), psi.amp)
     return LocalProfile("C", "variance",
-                        RealProfile(psi.grid, values, mask))
+                        RealProfile(psi.grid, np.imag(ratio) ** 2, mask))
 
 
 def local_second_moment_S(psi: Wavefunction, A: ObservableSpec,
@@ -326,19 +324,16 @@ def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
     first, second = moment_densities(psi, A, definition)
     rho = psi.rho()
     mask = psi.mask(eps_factor)
-    masked_out = float(np.sum(rho[~mask]) * psi.grid.dq)
-    if not masked_out <= 1e-8:
-        raise PreconditionError(
-            "masked region excludes probability %.3g > 1e-8; "
-            "decomposition unreliable" % masked_out)
+    check("probability outside the rho mask",
+          np.sum(rho[~mask]) * psi.grid.dq, 1e-8, PreconditionError,
+          hint="the decomposition is unreliable")
 
     mean = global_average(psi, A)
     dq = psi.grid.dq
     if A.kind == "position_function":
         # diagonal observable: zero local spread under every definition,
         # and the q-variance of g(q) needs no quotient at all
-        g = np.real(A.apply(psi) / np.where(psi.amp == 0, 1.0, psi.amp))
-        g[psi.amp == 0] = 0.0
+        g = np.real(quotient_on(psi.amp != 0, A.apply(psi), psi.amp))
         avg_local_variance = 0.0
         variance_of_local_avg = float(np.sum((g - mean) ** 2 * rho) * dq)
     else:

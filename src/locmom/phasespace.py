@@ -51,10 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (DEFAULT_MASK_EPS, NORM_TOL, GridSpec, Wavefunction,
-                   momentum_representation, normalization_error,
+from .core import (DEFAULT_MASK_EPS, NORM_CHECK, NORM_TOL, GridSpec,
+                   Wavefunction, momentum_representation, quotient_on,
                    require_normalized)
-from .errors import PreconditionError, SelfCheckError
+from .errors import PreconditionError, SelfCheckError, check, failure
 
 WIGNER_EDGE_TOL = 1e-10
 BAYES_CELL_TOL = 1e-7
@@ -122,15 +122,12 @@ class CharacteristicSlice:
 
 def _require_memory_budget(grid: GridSpec, bytes_per_cell: int,
                            what: str) -> None:
-    """PreconditionError if n^2 * bytes_per_cell exceeds N2_MEMORY_BUDGET."""
-    need = grid.n * grid.n * bytes_per_cell
-    if need > N2_MEMORY_BUDGET:
-        fit = math.isqrt(N2_MEMORY_BUDGET // bytes_per_cell) // 2 * 2
-        raise PreconditionError(
-            "memory budget exceeded: the %s needs an estimated %.4g MB at "
-            "n = %d (%d bytes per cell), budget %.4g MB; the largest n that "
-            "fits is %d" % (what, need / 1e6, grid.n, bytes_per_cell,
-                            N2_MEMORY_BUDGET / 1e6, fit))
+    """PreconditionError if n^2 * bytes_per_cell is over N2_MEMORY_BUDGET."""
+    fit = math.isqrt(N2_MEMORY_BUDGET // bytes_per_cell) // 2 * 2
+    check("memory budget, estimated peak bytes of the %s at n = %d (%d per "
+          "cell)" % (what, grid.n, bytes_per_cell),
+          grid.n * grid.n * bytes_per_cell, N2_MEMORY_BUDGET,
+          PreconditionError, hint="the largest n that fits is %d" % fit)
 
 
 def wigner_pgrid(grid: GridSpec) -> tuple[np.ndarray, float]:
@@ -150,7 +147,7 @@ def _pad_modes(amps: np.ndarray) -> tuple[np.ndarray, ...]:
     """(wrap, allowed, edge) per amplitude row: the pad mode of the Wigner
     correlation product, periodic (wrap) for a constant-modulus state and
     zeros for a decayed one; whether the row is either; and its edge
-    amplitude, which _edge_violation reports for a row that is not."""
+    amplitude, which _edge_failure reports for a row that is not."""
     mods = np.abs(amps)
     edge = np.maximum(mods[:, 0], mods[:, -1])
     top = mods.max(axis=1)
@@ -159,10 +156,12 @@ def _pad_modes(amps: np.ndarray) -> tuple[np.ndarray, ...]:
     return wrap, decayed | wrap, edge
 
 
-def _edge_violation(edge: float) -> PreconditionError:
-    return PreconditionError(
-        "edge-decay violation: |psi| = %.3g at the window edge; "
-        "wraparound would corrupt the correlation product" % edge)
+def _edge_failure(edge: float) -> PreconditionError | None:
+    """The error of a row that is not constant-modulus; None if it is
+    decayed, its edge amplitude below WIGNER_EDGE_TOL as in _pad_modes."""
+    return failure("Wigner edge-decay, |psi| at the window edge", edge,
+                   WIGNER_EDGE_TOL, PreconditionError, strict=True,
+                   hint="wraparound would corrupt the correlation product")
 
 
 def _shift_pairs(amps: np.ndarray, wrap: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -189,7 +188,7 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
     amps = psi.amp[None, :]
     wrap, allowed, edge = _pad_modes(amps)
     if not allowed[0]:
-        raise _edge_violation(edge[0])
+        raise _edge_failure(edge[0])
     plus, minus = _shift_pairs(amps, wrap)
     rows = np.fft.ifft(np.fft.ifftshift(np.conj(plus[0]) * minus[0], axes=1),
                        axis=1)
@@ -237,14 +236,13 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
     the padded stack and no n x n array is built.
     """
     norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1) * grid.dq)
-    unnormalized = ~(np.abs(norms - 1.0) <= NORM_TOL)
     wrap, allowed, edge = _pad_modes(amps)
-    failed = unnormalized | ~allowed
+    failed = ~(np.abs(norms - 1.0) <= NORM_TOL) | ~allowed
     valid, error = len(amps), None
     if failed.any():
         valid = int(np.argmax(failed))
-        error = (normalization_error(norms[valid]) if unnormalized[valid]
-                 else _edge_violation(edge[valid]))
+        error = (failure(NORM_CHECK, abs(norms[valid] - 1.0), NORM_TOL,
+                         PreconditionError) or _edge_failure(edge[valid]))
     n, half = grid.n, grid.n // 2
     plus, minus = _shift_pairs(amps[:valid], wrap[:valid])
     pgrid, dp = wigner_pgrid(grid)
@@ -287,10 +285,9 @@ def margenau_hill_transform(psi: Wavefunction) -> QuasiDistribution:
 
 def _shift_steps(grid: GridSpec, tau: float) -> int:
     steps = grid.hbar * tau / grid.dq
-    if abs(steps - round(steps)) > 1e-9:
-        raise PreconditionError(
-            "off-grid shift: hbar*tau must be an integer multiple of dq "
-            "(hbar*tau/dq = %.12g)" % steps)
+    check("off-grid shift, distance of hbar*tau/dq = %r from an integer"
+          % float(steps), abs(steps - np.rint(steps)), 1e-9,
+          PreconditionError, hint="hbar*tau must be an integer multiple of dq")
     return int(round(steps))
 
 
@@ -305,11 +302,9 @@ def characteristic_function_S(psi: Wavefunction, tau: float,
     require_normalized(psi)
     j = _shift_steps(psi.grid, tau)
     mask = psi.mask(eps_factor)
-    values = np.zeros(psi.grid.n, dtype=complex)
-    amp = psi.amp
-    fwd = np.roll(amp, -j)[mask] / (2.0 * amp[mask])
-    bwd = np.conj(np.roll(amp, j)[mask]) / (2.0 * np.conj(amp[mask]))
-    values[mask] = fwd + bwd
+    amp, conj = psi.amp, np.conj(psi.amp)
+    values = (quotient_on(mask, np.roll(amp, -j), 2.0 * amp)
+              + quotient_on(mask, np.roll(conj, j), 2.0 * conj))
     return CharacteristicSlice(tau=float(tau), values=values)
 
 
@@ -342,8 +337,8 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
     return np.fft.fftshift(rows, axes=1)
 
 
-def bayes_product(psi: Wavefunction, conditional: np.ndarray,
-                  eps_factor: float = DEFAULT_MASK_EPS) -> QuasiDistribution:
+def bayes_product(psi: Wavefunction,
+                  conditional: np.ndarray) -> QuasiDistribution:
     """rho(q) * P_S(p|q) per cell; must reconstruct the Margenau-Hill
     distribution within 1e-7 per cell or the two pipelines have diverged
     (SelfCheckError)."""
@@ -354,11 +349,9 @@ def bayes_product(psi: Wavefunction, conditional: np.ndarray,
                                 % (conditional.shape,))
     values = psi.rho()[:, None] * conditional
     reference = margenau_hill_transform(psi)
-    dev = float(np.max(np.abs(values - reference.values)))
-    if not dev <= BAYES_CELL_TOL:
-        raise SelfCheckError(
-            "Bayes product deviates from the Margenau-Hill distribution by "
-            "%.3g per cell (tolerance %.1g)" % (dev, BAYES_CELL_TOL))
+    check("Bayes product, largest cell deviation from the Margenau-Hill "
+          "distribution", np.max(np.abs(values - reference.values)),
+          BAYES_CELL_TOL, SelfCheckError)
     return QuasiDistribution(kind="margenau_hill", grid=g, pgrid=g.p,
                              dp=g.dp, values=values)
 

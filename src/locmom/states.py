@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (EDGE_DECAY_TOL, GridSpec, Wavefunction, normalize)
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, check
 
 OSCILLATOR_LEVEL_CAP = 4
 
@@ -92,10 +92,9 @@ def _amplitude(recipe: StateRecipe, grid: GridSpec) -> np.ndarray:
                          + 1j * recipe.k0 * q))
     if isinstance(recipe, PlaneWave):
         cycles = recipe.k * grid.length / (2.0 * np.pi)
-        if abs(cycles - round(cycles)) > 1e-9:
-            raise PreconditionError(
-                "plane wave not commensurate with the grid: k*(q_max-q_min)"
-                "/(2*pi) = %.12g is not an integer" % cycles)
+        check("plane wave, distance of k*(q_max-q_min)/(2*pi) = %r from an "
+              "integer" % float(cycles), abs(cycles - np.rint(cycles)), 1e-9,
+              PreconditionError, hint="k is not commensurate with the grid")
         return np.exp(1j * recipe.k * q) / np.sqrt(grid.length)
     if isinstance(recipe, OscillatorEigenstate):
         if not 0 <= recipe.level <= OSCILLATOR_LEVEL_CAP:
@@ -123,11 +122,9 @@ def synthesize(recipe: StateRecipe, grid: GridSpec) -> Wavefunction:
     localized recipes (amplitude below 1e-12 at both window edges)."""
     psi = normalize(Wavefunction(grid, _amplitude(recipe, grid)))
     if _is_localized(recipe):
-        edge = max(abs(psi.amp[0]), abs(psi.amp[-1]))
-        if edge >= EDGE_DECAY_TOL:
-            raise PreconditionError(
-                "edge-decay check failed: |psi| = %.3g at the window edge "
-                "(threshold %.1g); enlarge the window" % (edge, EDGE_DECAY_TOL))
+        check("edge-decay, |psi| at the window edge",
+              max(abs(psi.amp[0]), abs(psi.amp[-1])), EDGE_DECAY_TOL,
+              PreconditionError, hint="enlarge the window", strict=True)
     return psi
 
 

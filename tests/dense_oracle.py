@@ -16,7 +16,7 @@ chunked dynamics.hydrodynamic_residuals, which must equal it bit for bit.
 import numpy as np
 
 from locmom.core import spatial_derivative
-from locmom.errors import SelfCheckError
+from locmom.errors import SelfCheckError, check
 from locmom.moments import moment_densities, momentum_power
 
 
@@ -148,10 +148,8 @@ def checked_fields(psi, tol=1e-8):
     m1w, m2w = moment_densities(psi, momentum_power(1), "W")
     dev = max(float(np.max(np.abs(m1w - fields["D"]))),
               float(np.max(np.abs(m2w - fields["m2"]))))
-    if not dev <= tol:
-        raise SelfCheckError(
-            "Wigner moment densities deviate from their bilinear forms by "
-            "%.3g (tolerance %.1g)" % (dev, tol))
+    check("Wigner moment densities, deviation from their bilinear forms", dev,
+          tol, SelfCheckError)
     return fields
 
 

@@ -102,6 +102,21 @@ def test_observable_distribution_bayes_consistency(gauss_density):
     assert np.max(np.abs(sums - 1.0)) < 1e-8
 
 
+def test_observable_distribution_joint_equals_per_column_bincount():
+    """The one bincount over the flattened (bin, q) cells deposits each
+    column's cells in the same order as a bincount per q column."""
+    grid = lm.make_grid(128, -20.0, 20.0)
+    F = cl.wigner_as_classical(GAUSS, grid)
+    a = cl.momentum_variable(F)
+    od = cl.observable_distribution(F, a, 40)
+    b = np.clip(np.floor((a.values - od.edges[0]) / od.da).astype(int), 0, 39)
+    weights = F.values * F.dp / od.da
+    joint = np.stack([np.bincount(b[j], weights=weights[j], minlength=40)
+                      for j in range(grid.n)], axis=1)
+    assert np.array_equal(od.joint, joint)
+    assert od.joint.flags.c_contiguous
+
+
 def test_observable_distribution_bin_count_guard(gauss_density):
     a = cl.momentum_variable(gauss_density)
     with pytest.raises(lm.PreconditionError, match="bin_count"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import locmom as lm
-from locmom import cli, phasespace
+from locmom import classical, cli, phasespace, states
 from locmom.cli import RunConfig
 from locmom.io import read_distribution_binary
 
@@ -257,6 +257,22 @@ def test_distribution_binary_round_trip(tmp_path, capsys, flag, header_kind,
     assert (meta["min_value"], meta["min_q"], meta["min_p"]) == dist.min_cell()
 
 
+def test_distribution_classical_synthesizes_the_state_once(monkeypatch,
+                                                          capsys):
+    calls = []
+    synthesize = states.synthesize
+
+    def counted(recipe, grid):
+        calls.append(recipe)
+        return synthesize(recipe, grid)
+
+    for module in (states, classical):
+        monkeypatch.setattr(module, "synthesize", counted)
+    code, _, _ = run(["distribution", "--kind", "classical", "--grid-n", "64",
+                      "--q-min", "-16", "--q-max", "16"], capsys)
+    assert code == 0 and len(calls) == 1
+
+
 def test_distribution_binary_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     argv = ["distribution", *GRID16, "--kind", "mh", "--format", "binary"]
@@ -321,14 +337,15 @@ def test_evolve_trace_exports(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code, message", [
     (["--potential", "barrier:2.0,1.0,3.0"], 4,
      '{"error": {"code": 4, "kind": "self-check", "message": "Wigner moment '
-     'densities deviate from their bilinear forms by 1.01e-08 (tolerance '
-     '1e-08)"}}\n'),
+     'densities, deviation from their bilinear forms: 1.0115135520849527e-08 '
+     'exceeds 1e-08"}}\n'),
     # the first snapshot passes; snapshot 45 of 101 is the first to fail
     (["--state", "gaussian(s=0.5,k0=0.0,q0=6.0)", "--steps", "1000",
       "--stride", "10", "--dt", "0.002"], 3,
-     '{"error": {"code": 3, "kind": "precondition", "message": "edge-decay '
-     'violation: |psi| = 1.14e-10 at the window edge; wraparound would '
-     'corrupt the correlation product"}}\n')])
+     '{"error": {"code": 3, "kind": "precondition", "message": "Wigner '
+     'edge-decay, |psi| at the window edge: 1.1404612391762866e-10 exceeds '
+     '9.999999999999999e-11; wraparound would corrupt the correlation '
+     'product"}}\n')])
 def test_evolve_reports_the_first_failing_snapshot(capsys, argv, code,
                                                    message):
     assert run(["evolve", *EVOLVE_GRID, *argv], capsys) == (code, "", message)

@@ -41,7 +41,8 @@ def test_make_grid_rejects_non_finite_parameters(kwargs):
 def test_require_normalized_rejects_nan(gauss512):
     amp = gauss512.amp.copy()
     amp[3] = np.nan
-    with pytest.raises(lm.PreconditionError, match="normalized"):
+    with pytest.raises(lm.PreconditionError,
+                       match=r"\|norm - 1\|: nan exceeds 1e-08$"):
         lm.global_average(lm.Wavefunction(gauss512.grid, amp),
                           lm.momentum_power(1))
 def test_momentum_grid_wrapped_vs_sorted(grid512):

@@ -71,6 +71,24 @@ def test_no_scipy_import():
     assert found == []
 
 
+def test_threshold_messages_come_from_errors_only():
+    """Every measured-value-versus-threshold message is built by
+    errors.check, so no other module spells out "exceeds" or "tolerance"
+    in a string (docstrings aside)."""
+    found = []
+    for name, tree in _trees():
+        if name == "errors.py":
+            continue
+        docstrings = {id(node.value) for node in ast.walk(tree)
+                      if isinstance(node, ast.Expr)}
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and id(node) not in docstrings
+                  and ("exceeds" in node.value or "tolerance" in node.value)]
+    assert found == []
+
+
 def test_cli_import_loads_no_scipy():
     probe = ("import sys, locmom.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy'))")

@@ -154,8 +154,10 @@ def test_wigner_moment_density_stack_rows_equal_single_states(n):
             assert np.array_equal(densities[k, r], single)
     bad = np.exp(-(grid.q - 19.0) ** 2 / 4.0).astype(complex)
     bad /= np.sqrt(np.sum(np.abs(bad) ** 2) * grid.dq)
-    for row, message in ((bad, r"edge-decay violation: \|psi\| = 0\.5\d* "),
-                         (2.0 * amps[0], "not normalized: norm=2$")):
+    for row, message in ((bad, r"edge-decay, \|psi\| at the window edge: "
+                               r"0\.5\d* exceeds"),
+                         (2.0 * amps[0],
+                          r"\|norm - 1\|: 1\.0\d* exceeds 1e-08$")):
         mixed = np.stack([amps[0], amps[1], row, amps[2]])
         densities, error = ps.wigner_moment_density_stack(mixed, grid, (1,))
         assert densities.shape == (1, 2, n)
@@ -462,7 +464,8 @@ def test_n2_transforms_refuse_over_memory_budget(monkeypatch, gauss512):
                            match="memory budget") as info:
             transform(gauss512)
         message = str(info.value)
-        assert "%.4g MB at n = 512" % (512 ** 2 * per_cell / 1e6) in message
+        assert ("at n = 512 (%d per cell): %r exceeds %r"
+                % (per_cell, 512.0 ** 2 * per_cell, float(budget)) in message)
         fit = int(re.search(r"largest n that fits is (\d+)", message)[1])
         assert fit % 2 == 0
         assert fit ** 2 * per_cell <= budget < (fit + 2) ** 2 * per_cell
