@@ -5,7 +5,11 @@ exposed on the command line is the momentum; --order selects the local
 moment order (1..4) or the tag "variance", and --definition selects the
 prescription (S, C, MH, W or all).
 
-Configuration is a JSON file (--config) plus flag overrides; flags win.
+Every setting is one field of RunConfig with its default, its check, the
+subcommands that read it and its help.  Each subcommand takes --config and
+the flags of the settings it reads (`locmom <subcommand> --help`), and
+refuses any other flag.  A --config file may hold every field, so one file
+serves all four subcommands; flags override it.
 Every command is deterministic: identical configuration produces
 byte-identical output files (floats at 17 significant digits).
 
@@ -21,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,78 +39,98 @@ DECOMPOSE_RESIDUAL_TOL = 1e-8
 _EXIT_CODES = {ConfigError: 2, PreconditionError: 3, SelfCheckError: 4}
 _ERROR_KINDS = {2: "config", 3: "precondition", 4: "self-check"}
 
-# Field types checked by RunConfig.validate, since values from a JSON
-# config arrive untyped: (fields, what they must be, test).
-_FIELD_TYPES = (
-    (("grid_n", "steps", "stride"), "an integer",
-     lambda v: type(v) is int),
-    (("q_min", "q_max", "hbar", "mass", "mask_eps", "dt"), "a finite number",
-     lambda v: type(v) in (int, float) and math.isfinite(v)),
-    (("state", "definition", "format", "potential", "kind"), "a string",
-     lambda v: type(v) is str),
-    (("out",), "a string or null", lambda v: v is None or type(v) is str),
-    (("order",), "an integer 1..4 or 'variance'",
-     lambda v: type(v) in (int, str) and v in ("variance", "1", "2", "3",
-                                                "4", 1, 2, 3, 4)),
-)
+
+# A check is (what a value must be, in the words of its error message; a
+# predicate).  Predicates see untyped JSON config values as well as typed
+# flag values.
+def _one_of(*values: str):
+    return (", ".join(values[:-1]) + " or " + values[-1],
+            lambda v: type(v) is str and v in values)
+
+
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+# the exact int/float comparison refuses nan, inf and ints beyond a float
+_NUMBER = ("a finite number",
+           lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_POSITIVE = ("a positive finite number", lambda v: _NUMBER[1](v) and v > 0)
+_TEXT = ("a string", lambda v: type(v) is str)
+_PATH = ("a path or null", lambda v: v is None or type(v) is str)
+_ORDER = ("an integer 1..4 or 'variance'",
+          lambda v: type(v) in (int, str)
+          and v in ("variance", "1", "2", "3", "4", 1, 2, 3, 4))
+
+_ALL = ("moments", "decompose", "distribution", "evolve")
+_PROFILES = ("moments", "decompose")
+
+
+def _setting(default, check, commands, help: str):
+    """One row of the settings table.  commands names the subcommands that
+    read the setting, or maps each to its own check."""
+    return field(default=default, metadata={"check": check,
+                                            "commands": commands,
+                                            "help": help})
+
+
+def _check_for(setting, command: str | None):
+    """The check of a settings field under the command (None: any)."""
+    commands = setting.metadata["commands"]
+    return (isinstance(commands, dict) and commands.get(command)
+            or setting.metadata["check"])
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid_n: int = 512
-    q_min: float = -20.0
-    q_max: float = 20.0
-    hbar: float = 1.0
-    mass: float = 1.0
-    state: str = "gaussian(s=1.0,k0=2.0,q0=0.0)"
-    definition: str = "all"
-    order: str = "variance"
-    format: str = "csv"
-    out: str | None = None
-    mask_eps: float = 1e-10
-    potential: str = "free"
-    dt: float = 1e-3
-    steps: int = 100
-    stride: int = 1
-    kind: str = "wigner"
+    """The settings table, one field per setting."""
+    grid_n: int = _setting(512, _INTEGER, _ALL, "number of grid points")
+    q_min: float = _setting(-20.0, _NUMBER, _ALL, "left edge of the window")
+    q_max: float = _setting(20.0, _NUMBER, _ALL, "right edge of the window")
+    hbar: float = _setting(1.0, _POSITIVE, _ALL, "reduced Planck constant")
+    mass: float = _setting(1.0, _POSITIVE, _ALL, "particle mass")
+    state: str = _setting("gaussian(s=1.0,k0=2.0,q0=0.0)", _TEXT, _ALL,
+                          "state recipe in canonical textual form")
+    definition: str = _setting("all", _one_of("S", "C", "MH", "W", "all"),
+                               _PROFILES, "local moment definition")
+    order: str = _setting("variance", _ORDER, ("moments",), "moment order")
+    format: str = _setting("csv", _one_of("csv", "json", "binary"),
+                           {"moments": _one_of("csv", "json"),
+                            "distribution": _one_of("csv", "binary")},
+                           "output format")
+    out: str | None = _setting(None, _PATH, _ALL,
+                               "output file, or evolve's file name prefix")
+    mask_eps: float = _setting(1e-10, _POSITIVE, _PROFILES + ("evolve",),
+                               "relative rho threshold of the validity mask")
+    potential: str = _setting("free", _TEXT, ("evolve",),
+                              "free, harmonic:OMEGA or barrier:H,W,C")
+    dt: float = _setting(1e-3, _POSITIVE, ("evolve",), "time step")
+    steps: int = _setting(100, _COUNT, ("evolve",), "number of time steps")
+    stride: int = _setting(1, _COUNT, ("evolve",), "steps between snapshots")
+    kind: str = _setting("wigner", _one_of("wigner", "mh", "classical"),
+                         ("distribution",), "distribution to emit")
 
     def canonical(self) -> str:
         """Canonical text; parsing it back yields an identical config."""
         return io.json_text(asdict(self))
 
     @classmethod
-    def from_mapping(cls, data: dict) -> "RunConfig":
+    def from_mapping(cls, data: dict, command: str | None = None
+                     ) -> "RunConfig":
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError("unknown config field(s): %s"
                               % ", ".join(sorted(unknown)))
-        merged = {**asdict(cls()), **data}
-        cfg = cls(**merged)
-        cfg.validate()
+        cfg = cls(**data)
+        cfg.validate(command)
         return cfg
 
-    def validate(self) -> None:
-        for names, what, valid in _FIELD_TYPES:
-            for name in names:
-                if not valid(getattr(self, name)):
-                    raise ConfigError("%s must be %s, got %r"
-                                      % (name, what, getattr(self, name)))
-        if self.definition not in ("S", "C", "MH", "W", "all"):
-            raise ConfigError("definition must be S, C, MH, W or all, got %r"
-                              % self.definition)
-        if self.format not in ("csv", "json", "binary"):
-            raise ConfigError("format must be csv, json or binary, got %r"
-                              % self.format)
-        if not self.mask_eps > 0:
-            raise ConfigError("mask-eps must be positive")
-        if self.kind not in ("wigner", "mh", "classical"):
-            raise ConfigError("kind must be wigner, mh or classical, got %r"
-                              % self.kind)
-        for name in ("dt", "hbar", "mass"):
-            if not getattr(self, name) > 0:
-                raise ConfigError("%s must be positive" % name)
-        if self.steps < 1 or self.stride < 1:
-            raise ConfigError("steps and stride must be >= 1")
+    def validate(self, command: str | None = None) -> None:
+        """Check every field, whether or not the command reads it."""
+        for setting in fields(self):
+            words, test = _check_for(setting, command)
+            value = getattr(self, setting.name)
+            if not test(value):
+                raise ConfigError("%s must be %s, got %r"
+                                  % (setting.name, words, value))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,33 +147,19 @@ def _build_parser() -> _Parser:
             ("decompose", "emit the variance decomposition as JSON"),
             ("distribution", "emit a quasi/classical distribution file"),
             ("evolve", "propagate and report hydrodynamic residuals")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON config file; explicit flags override it")
-        p.add_argument("--grid-n", type=int, dest="grid_n")
-        p.add_argument("--q-min", type=float, dest="q_min")
-        p.add_argument("--q-max", type=float, dest="q_max")
-        p.add_argument("--hbar", type=float)
-        p.add_argument("--mass", type=float)
-        p.add_argument("--state", type=str,
-                       help="state recipe in canonical textual form")
-        p.add_argument("--definition", type=str,
-                       choices=["S", "C", "MH", "W", "all"])
-        p.add_argument("--order", type=str,
-                       help="moment order 1..4 or 'variance'")
-        p.add_argument("--format", type=str,
-                       choices=["csv", "json", "binary"])
-        p.add_argument("--out", type=str)
-        p.add_argument("--mask-eps", type=float, dest="mask_eps",
-                       help="relative rho threshold for the validity mask")
-        p.add_argument("--potential", type=str,
-                       help="free | harmonic:OMEGA | barrier:H,W,C")
-        p.add_argument("--dt", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--stride", type=int)
-        if name == "distribution":
-            p.add_argument("--kind", type=str,
-                           choices=["wigner", "mh", "classical"])
+        # flags left out of the command line stay out of the namespace
+        p = sub.add_parser(name, help=helptext,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None,
+                       help="JSON file of settings; flags override it")
+        for setting in fields(RunConfig):
+            if name in setting.metadata["commands"]:
+                p.add_argument("--" + setting.name.replace("_", "-"),
+                               dest=setting.name,
+                               type={int: int, float: float}.get(
+                                   type(setting.default), str),
+                               help="%s (%s)" % (setting.metadata["help"],
+                                                 _check_for(setting, name)[0]))
     return parser
 
 
@@ -166,11 +176,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         data.update(loaded)
-    for field in RunConfig.__dataclass_fields__:
-        value = getattr(args, field, None)
-        if value is not None:
-            data[field] = value
-    return RunConfig.from_mapping(data)
+    data.update((name, value) for name, value in vars(args).items()
+                if name in RunConfig.__dataclass_fields__)
+    return RunConfig.from_mapping(data, args.command)
 
 
 def _setup(cfg: RunConfig):
@@ -185,14 +193,6 @@ def _definitions(cfg: RunConfig) -> list[str]:
         else [cfg.definition]
 
 
-def _moment_profile(psi, definition: str, order, eps: float):
-    if order == "variance":
-        return moments.local_variance(psi, moments.momentum_power(1),
-                                      definition, eps)
-    return moments.local_value(psi, moments.momentum_power(order),
-                               definition, eps)
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -202,23 +202,14 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def cmd_moments(cfg: RunConfig) -> int:
-    if cfg.format == "binary":
-        raise ConfigError("moments supports csv or json output")
     _, _, psi = _setup(cfg)
-    order = cfg.order if cfg.order == "variance" else int(cfg.order)
-    profiles = [_moment_profile(psi, d, order, cfg.mask_eps)
-                for d in _definitions(cfg)]
-    if cfg.format == "csv":
-        text = io.profile_csv(profiles)
+    if cfg.order == "variance":
+        local, A = moments.local_variance, moments.momentum_power(1)
     else:
-        payload = [{"definition": prof.definition,
-                    "order": str(prof.order),
-                    "q": [io.fmt(v) for v in prof.profile.grid.q],
-                    "value": [io.fmt(v) for v in prof.profile.values],
-                    "mask": [int(m) for m in prof.profile.mask]}
-                   for prof in profiles]
-        text = io.json_text(payload)
-    _write_output(text, cfg.out)
+        local, A = moments.local_value, moments.momentum_power(int(cfg.order))
+    profiles = [local(psi, A, d, cfg.mask_eps) for d in _definitions(cfg)]
+    _write_output(io.profile_csv(profiles) if cfg.format == "csv"
+                  else io.profile_json(profiles), cfg.out)
     return 0
 
 
@@ -244,8 +235,6 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 
 def cmd_distribution(cfg: RunConfig) -> int:
-    if cfg.format == "json":
-        raise ConfigError("distribution supports csv or binary output")
     grid, recipe, psi = _setup(cfg)
     if cfg.kind == "wigner":
         dist = phasespace.wigner_transform(psi)
@@ -269,28 +258,24 @@ def cmd_distribution(cfg: RunConfig) -> int:
     return 0
 
 
+_POTENTIALS = {"harmonic": (dynamics.harmonic_potential, 1),
+               "barrier": (dynamics.gaussian_barrier, 3)}
+
+
 def _parse_potential(text: str, grid) -> dynamics.Potential:
     if text == "free":
         return dynamics.free_potential(grid)
-    head, sep, rest = text.partition(":")
-    if head == "harmonic" and sep:
-        try:
-            omega = float(rest)
-        except ValueError:
-            raise ConfigError("harmonic potential needs a numeric omega, "
-                              "got %r" % rest)
-        return dynamics.harmonic_potential(grid, omega)
-    if head == "barrier" and sep:
-        parts = rest.split(",")
-        if len(parts) != 3:
-            raise ConfigError("barrier potential needs height,width,center")
-        try:
-            height, width, center = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError("barrier parameters must be numeric: %r" % rest)
-        return dynamics.gaussian_barrier(grid, height, width, center)
-    raise ConfigError("unknown potential %r (expected free, harmonic:OMEGA "
-                      "or barrier:H,W,C)" % text)
+    head, _, rest = text.partition(":")
+    build, arity = _POTENTIALS.get(head, (None, 0))
+    try:
+        params = [float(p) for p in rest.split(",")]
+    except ValueError:
+        params = []
+    if build is None or len(params) != arity or not all(map(math.isfinite,
+                                                            params)):
+        raise ConfigError("potential must be free, harmonic:OMEGA or "
+                          "barrier:H,W,C with finite numbers, got %r" % text)
+    return build(grid, *params)
 
 
 def cmd_evolve(cfg: RunConfig) -> int:

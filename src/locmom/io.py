@@ -49,6 +49,16 @@ def profile_csv(profiles: Iterable[LocalProfile]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def profile_json(profiles: Iterable[LocalProfile]) -> str:
+    """JSON list of {definition, order, q, value, mask}, one per profile."""
+    return json_text([{"definition": prof.definition,
+                       "order": str(prof.order),
+                       "q": fmt_column(prof.profile.grid.q),
+                       "value": fmt_column(prof.profile.values),
+                       "mask": prof.profile.mask.astype(int).tolist()}
+                      for prof in profiles])
+
+
 def distribution_csv(dist: QuasiDistribution) -> str:
     """Dense CSV with columns q, p, value (q-major, ascending p)."""
     lines = ["q,p,value"]

@@ -331,9 +331,9 @@ def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
     mean = global_average(psi, A)
     dq = psi.grid.dq
     if A.kind == "position_function":
-        # diagonal observable: zero local spread under every definition,
-        # and the q-variance of g(q) needs no quotient at all
-        g = np.real(quotient_on(psi.amp != 0, A.apply(psi), psi.amp))
+        # diagonal observable: zero local spread under every definition;
+        # g = g rho / rho is read where rho > 0 (no division by psi)
+        g = quotient_on(rho > 0, first, rho)
         avg_local_variance = 0.0
         variance_of_local_avg = float(np.sum((g - mean) ** 2 * rho) * dq)
     else:

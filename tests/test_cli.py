@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +353,17 @@ def test_evolve_reports_the_first_failing_snapshot(capsys, argv, code,
     assert run(["evolve", *EVOLVE_GRID, *argv], capsys) == (code, "", message)
 
 
+@pytest.mark.parametrize("potential", [
+    "harmonic:inf", "harmonic:nan", "barrier:nan,1.0,3.0",
+    "barrier:1.0,inf,3.0"])
+def test_non_finite_potential_exits_2_with_one_line(potential):
+    proc = run_subprocess(["evolve", *EVOLVE_GRID, "--potential", potential])
+    assert proc.returncode == 2 and proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert "potential" in json.loads(lines[0])["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # config file, canonical form, environment
 
@@ -377,7 +390,8 @@ def test_config_unknown_field_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data, field", [
-    ({"grid_n": "512"}, "grid_n"), ({"order": 2.5}, "order")])
+    ({"grid_n": "512"}, "grid_n"), ({"order": 2.5}, "order"),
+    ({"q_min": -10 ** 400}, "q_min")])
 def test_config_wrong_type_exits_2(tmp_path, capsys, data, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
@@ -395,6 +409,80 @@ def test_config_accepts_typed_values(tmp_path, capsys):
     code, out, _ = run(["moments", "--config", str(cfg_path)], capsys)
     assert code == 0
     assert out.splitlines()[1].endswith(",S,2")
+
+
+# The flags of each subcommand: the settings it reads, and --config.
+FLAGS = {
+    "moments": {"--config", "--grid-n", "--q-min", "--q-max", "--hbar",
+                "--mass", "--state", "--definition", "--order", "--format",
+                "--out", "--mask-eps"},
+    "decompose": {"--config", "--grid-n", "--q-min", "--q-max", "--hbar",
+                  "--mass", "--state", "--definition", "--out", "--mask-eps"},
+    "distribution": {"--config", "--grid-n", "--q-min", "--q-max", "--hbar",
+                     "--mass", "--state", "--format", "--out", "--kind"},
+    "evolve": {"--config", "--grid-n", "--q-min", "--q-max", "--hbar",
+               "--mass", "--state", "--out", "--mask-eps", "--potential",
+               "--dt", "--steps", "--stride"},
+}
+# every flag some subcommand once took without reading it, with a value
+# a subcommand that reads it accepts
+VALID = {"--definition": "S", "--order": "2", "--format": "csv",
+         "--mask-eps": "1e-10", "--potential": "free", "--dt": "0.001",
+         "--steps": "7", "--stride": "1"}
+CONFIG_VALUES = {"definition": "S", "order": "2", "format": "csv",
+                 "mask_eps": 1e-9, "potential": "harmonic:1.0", "dt": 0.002,
+                 "steps": 7, "stride": 7, "kind": "mh"}
+
+
+def test_each_subcommand_takes_the_flags_of_the_settings_it_reads():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, expected in FLAGS.items():
+        table = {"--config"} | {
+            "--" + f.name.replace("_", "-") for f in fields(RunConfig)
+            if command in f.metadata["commands"]}
+        flags = {flag for action in sub.choices[command]._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert flags == table == expected, command
+    assert [len(FLAGS[c]) for c in cli._COMMANDS] == [12, 10, 10, 13]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in FLAGS for flag in sorted(VALID)
+    if flag not in FLAGS[command]])
+def test_flag_the_subcommand_does_not_read_exits_2(capsys, command, flag):
+    code, out, err = run([command, "--grid-n", "64", flag, VALID[flag]],
+                         capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert flag in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--definition", "S", "--format", "binary", "--order", "3",
+     "--potential", "harmonic:1", "--dt", "5", "--steps", "7"],
+    ["evolve", "--definition", "W", "--format", "json", "--order", "2"]])
+def test_ignored_flags_are_refused(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", *GRID16, "--definition", "S", "--order", "1"],
+    ["decompose", *GRID16, "--definition", "S"],
+    ["distribution", "--grid-n", "64", "--q-min", "-16", "--q-max", "16"],
+    ["evolve", *EVOLVE_GRID, "--steps", "10"]], ids=lambda argv: argv[0])
+def test_config_fields_the_subcommand_does_not_read_change_nothing(
+        tmp_path, capsys, argv):
+    unread = {name: value for name, value in CONFIG_VALUES.items()
+              if "--" + name.replace("_", "-") not in FLAGS[argv[0]]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(unread))
+    plain = run(argv, capsys)
+    assert plain[0] == 0 and plain[1] != ""
+    assert run([*argv, "--config", str(cfg_path)], capsys) == plain
 
 
 def test_read_distribution_binary_rejects_cut_blob(tmp_path, capsys):

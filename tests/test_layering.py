@@ -89,6 +89,24 @@ def test_threshold_messages_come_from_errors_only():
     assert found == []
 
 
+def test_cli_flags_come_from_the_settings_table():
+    """Apart from --config, cli.py adds flags at one call site: the loop
+    over the fields of RunConfig, so a new flag goes through the table."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument"]
+    in_table_loop = [call for loop in ast.walk(tree)
+                     if isinstance(loop, ast.For)
+                     and ast.unparse(loop.iter) == "fields(RunConfig)"
+                     for call in ast.walk(loop) if call in calls]
+    literal = [call.args[0].value for call in calls
+               if isinstance(call.args[0], ast.Constant)]
+    assert len(calls) == 2 and literal == ["--config"]
+    assert len(in_table_loop) == 1
+
+
 def test_cli_import_loads_no_scipy():
     probe = ("import sys, locmom.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy'))")

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +229,22 @@ def test_variance_decomposition_diagonal_observable(gauss512):
     for definition in mm.DEFINITIONS:
         deco = lm.variance_decomposition(gauss512, A, definition)
         assert deco.avg_local_variance == pytest.approx(0.0, abs=1e-10)
+        assert deco.total == pytest.approx(direct, abs=1e-8)
+
+
+def test_diagonal_observable_decomposition_finite_at_subnormal_amplitudes():
+    # the tails of this state fall to subnormal amplitudes, where
+    # g psi / psi overflows; g is read off the density g rho instead
+    grid = lm.make_grid(2048, -40.0, 40.0)
+    psi = lm.synthesize(lm.parse_recipe("oscillator(level=3,omega=1.0)"),
+                        grid)
+    A = mm.position_function(grid.q ** 2)
+    direct = lm.direct_variance(psi, A)
+    for definition in mm.DEFINITIONS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            deco = lm.variance_decomposition(psi, A, definition)
+        assert math.isfinite(deco.total) and deco.avg_local_variance == 0.0
         assert deco.total == pytest.approx(direct, abs=1e-8)
 
 
