@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
@@ -48,7 +49,13 @@ def _one_of(*values: str):
             lambda v: type(v) is str and v in values)
 
 
-_INTEGER = ("an integer", lambda v: type(v) is int)
+# The profile commands peak at about 2.2 KB per grid point (tracemalloc,
+# n = 2**12..2**16), nearly all of it the W kernel's block of
+# phasespace.ROW_BLOCK correlation rows; 2**18 points keep that at 0.6 GB,
+# within the 1 GiB phasespace.N2_MEMORY_BUDGET.
+GRID_N_MAX = 2 ** 18
+_GRID_N = ("an integer at most %d" % GRID_N_MAX,
+           lambda v: type(v) is int and v <= GRID_N_MAX)
 _COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
 # the exact int/float comparison refuses nan, inf and ints beyond a float
 _NUMBER = ("a finite number",
@@ -82,7 +89,9 @@ def _check_for(setting, command: str | None):
 @dataclass(frozen=True)
 class RunConfig:
     """The settings table, one field per setting."""
-    grid_n: int = _setting(512, _INTEGER, _ALL, "number of grid points")
+    grid_n: int = _setting(512, _GRID_N, _ALL,
+                           "number of grid points; moments and decompose "
+                           "hold about 2.2 KB per point")
     q_min: float = _setting(-20.0, _NUMBER, _ALL, "left edge of the window")
     q_max: float = _setting(20.0, _NUMBER, _ALL, "right edge of the window")
     hbar: float = _setting(1.0, _POSITIVE, _ALL, "reduced Planck constant")
@@ -133,7 +142,16 @@ class RunConfig:
                                   % (setting.name, words, value))
 
 
+# argparse takes a flag value that starts with "-" for an option unless
+# it matches this; its own pattern leaves out the exponent form ("-1.6e1")
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # route argparse failures to exit code 2
         raise ConfigError(message)
 
@@ -171,7 +189,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError("cannot read config file: %s" % exc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8 and over-long integers
             raise ConfigError("config file is not valid JSON: %s" % exc)
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")

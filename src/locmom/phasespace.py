@@ -38,9 +38,33 @@ The Margenau-Hill transform lives on the standard momentum grid:
     F_MH(q, p) = Re[ phi(p) conj(psi(q)) e^{i p q/hbar} ] / sqrt(2*pi*hbar).
 
 Both transforms may be negative; each distribution exposes its minimum cell
-and location as first-class metadata.  The n x n routes refuse, before any
-n x n allocation, an n whose estimated peak memory exceeds N2_MEMORY_BUDGET;
-the kernel route holds O(ROW_BLOCK * n) and needs no budget.
+and location as first-class metadata.
+
+Row blocks
+----------
+The three n x n routes (Wigner, Margenau-Hill, the conditional P_S(p|q))
+fill one preallocated float n x n result N2_ROW_BLOCK q rows at a time
+(_row_blocks); no n x n complex array is built.
+
+* Hermitian half.  The correlation row c_i(s) and the characteristic
+  function G(s, q) satisfy x(-s) = conj(x(s)), and at s = -n/2 the row
+  is 0 (zero-padded) or real (wrapped), so the offsets s = -n/2..0 carry
+  the whole row, and one irfft per row over them gives it on the
+  ascending p grid (_hermitian_rows).  The Wigner transform and the
+  moment-density kernel read the same correlation blocks
+  (_correlation_blocks); the kernel multiplies them by K, the transform
+  irfft's them.
+* Root of unity.  On the grid q_j p_k/hbar = q_min p_k/hbar + 2 pi j k/n
+  - pi j, so the Margenau-Hill phase factors into a row sign, a column
+  phase and omega^(j k mod n), read from a 1D table of omega = e^{2 pi i/n}
+  (_margenau_hill_blocks) instead of n^2 complex exponentials.
+* Bayes check.  bayes_product compares rho * P_S with the Margenau-Hill
+  rows block by block, reducing with NaN-propagating maxima, and checks
+  the largest deviation once; the two pipelines share no step.
+
+The n x n routes refuse, before any n x n allocation, an n whose estimated
+peak memory exceeds N2_MEMORY_BUDGET; the kernel route holds
+O(ROW_BLOCK * n) and needs no budget.
 """
 
 from __future__ import annotations
@@ -60,17 +84,23 @@ WIGNER_EDGE_TOL = 1e-10
 BAYES_CELL_TOL = 1e-7
 
 # Budget for the estimated peak of one n x n route: n = 4096 fits for all
-# three (0.86 GB for the conditional distribution, the largest).
+# three (0.29 GB for the Margenau-Hill transform, the largest estimate).
 N2_MEMORY_BUDGET = 2 ** 30
-# Peak bytes per cell (complex products and FFT input and output held at
-# once), rounded up from tracemalloc peaks at n = 256..2048, so that the
-# estimate bounds the peak from n = 256 on.
-WIGNER_BYTES_PER_CELL = 35
-MH_BYTES_PER_CELL = 37
-CONDITIONAL_BYTES_PER_CELL = 51
+# Peak bytes per cell: the float result (8) and the temporaries of one row
+# block of N2_ROW_BLOCK rows, whose share of the cells shrinks as n grows.
+# Rounded up from tracemalloc peaks at n = 256 (10.3, 15.3 and 12.3; 8.2,
+# 8.8 and 8.3 at n = 2048), so that the estimate bounds the peak from
+# n = 256 on.
+WIGNER_BYTES_PER_CELL = 12
+MH_BYTES_PER_CELL = 17
+CONDITIONAL_BYTES_PER_CELL = 14
 
 # Rows of the correlation product held at once by wigner_moment_density_stack.
 ROW_BLOCK = 256
+# q rows per block of the n x n routes: a block of 32 rows stays in cache
+# at n = 2048 (1 MB of complex cells), where 256-row blocks of the
+# Margenau-Hill table product took 1.5 times as long.
+N2_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -164,11 +194,22 @@ def _edge_failure(edge: float) -> PreconditionError | None:
                    hint="wraparound would corrupt the correlation product")
 
 
-def _shift_pairs(amps: np.ndarray, wrap: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Strided views (plus, minus) of the amplitude rows padded by n/2 per
-    side, periodically where wrap and with zeros elsewhere:
-    plus[r, i, c] = amps[r, i + s] and minus[r, i, c] = amps[r, i - s] for
-    the offsets s = c - n/2, ascending over -n/2..n/2-1."""
+def _row_blocks(m: int, n: int, rows: int):
+    """(r, q) slices covering a stack of m amplitude rows of n points a
+    block at a time: `rows` q rows of one stack row, or, when n is at most
+    `rows`, whole stack rows, rows // n of them."""
+    q_rows = min(rows, n)
+    stack_rows = max(1, rows // n)
+    for r0 in range(0, m, stack_rows):
+        r = slice(r0, min(r0 + stack_rows, m))
+        for q0 in range(0, n, q_rows):
+            yield r, slice(q0, min(q0 + q_rows, n))
+
+
+def _windows(amps: np.ndarray, wrap: np.ndarray) -> np.ndarray:
+    """Strided view w of the amplitude rows padded by n/2 per side,
+    periodically where wrap and with zeros elsewhere:
+    w[r, i, n/2 + s] = amps[r, i + s] for the offsets s = -n/2..n/2."""
     m, n = amps.shape
     half = n // 2
     padded = np.zeros((m, 2 * n), dtype=complex)
@@ -176,8 +217,44 @@ def _shift_pairs(amps: np.ndarray, wrap: np.ndarray) -> tuple[np.ndarray, ...]:
     if wrap.any():
         padded[wrap, :half] = amps[wrap, n - half:]
         padded[wrap, half + n:] = amps[wrap, :half]
-    windows = sliding_window_view(padded, n + 1, axis=1)[:, :n]
-    return windows[..., :-1], windows[..., :0:-1]
+    return sliding_window_view(padded, n + 1, axis=1)[:, :n]
+
+
+def _correlation_blocks(amps: np.ndarray, wrap: np.ndarray, rows: int):
+    """(r, q, c) per block of _row_blocks(m, n, rows): the correlation
+    rows c[a, b, t] = conj(psi(q_b + s)) psi(q_b - s) of stack row r_a at
+    the offsets s = t - n/2 over -n/2..0, padded as _windows pads.  c is
+    one buffer, overwritten by the next block."""
+    m, n = amps.shape
+    half = n // 2
+    windows = _windows(amps, wrap)
+    buffer = np.empty(rows * (half + 1), dtype=complex)
+    for r, q in _row_blocks(m, n, rows):
+        shape = (r.stop - r.start, q.stop - q.start, half + 1)
+        c = buffer[:math.prod(shape)].reshape(shape)
+        np.conjugate(windows[r, q, :half + 1], out=c)
+        c *= windows[r, q, n:half - 1:-1]
+        yield r, q, c
+
+
+def _hermitian_rows(blocks, scale: float, out: np.ndarray) -> None:
+    """out[q, k] = scale * sum_s x_i(s) e^{2 pi i s (k - n/2)/n} over
+    s = -n/2..n/2-1, for each (q, h) of blocks, whose rows h[i, t] =
+    x_i(t - n/2), t = 0..n/2, are the half s <= 0 of a Hermitian sequence,
+    x_i(-s) = conj(x_i(s)) and x_i(-n/2) real.
+
+    Read with t as the frequency, h is itself the half spectrum of a real
+    sequence (t and n - t are the offsets s and -s), so the sum is one
+    irfft per row: the factor (-1)^t moves its output by n/2 onto the
+    ascending k, which leaves the sign (-1)^(k - n/2).  h is overwritten."""
+    n = out.shape[1]
+    half = n // 2
+    factor = scale * (1.0 - 2.0 * (np.arange(half + 1) % 2))
+    for q, h in blocks:
+        h *= factor
+        rows = out[q]
+        np.fft.irfft(h, n, norm="forward", out=rows)
+        rows[:, 1 - half % 2::2] *= -1.0
 
 
 def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
@@ -189,11 +266,10 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
     wrap, allowed, edge = _pad_modes(amps)
     if not allowed[0]:
         raise _edge_failure(edge[0])
-    plus, minus = _shift_pairs(amps, wrap)
-    rows = np.fft.ifft(np.fft.ifftshift(np.conj(plus[0]) * minus[0], axes=1),
-                       axis=1)
-    rows *= g.n
-    values = np.fft.fftshift(rows.real, axes=1) * (g.dq / (np.pi * g.hbar))
+    values = np.empty((g.n, g.n))
+    _hermitian_rows(((q, c[0]) for _, q, c in
+                     _correlation_blocks(amps, wrap, N2_ROW_BLOCK)),
+                    g.dq / (np.pi * g.hbar), values)
     pgrid, dp = wigner_pgrid(g)
     return QuasiDistribution(kind="weyl_wigner", grid=g, pgrid=pgrid,
                              dp=dp, values=values)
@@ -229,11 +305,12 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
     discrete form of (hbar/2i)^order d^order/dy^order of
     conj(psi(q + y/2)) psi(q - y/2) at y = 0.  As c_i(-s) = conj(c_i(s))
     and K is the transform of a real sequence, the columns s = -n/2+1..-1
-    count twice in place of s = 1..n/2-1, leaving s = -n/2..0.  K is built
-    once and the stack padded once per call.  The (row, q) correlation
-    rows go ROW_BLOCK at a time, whole rows of the stack together when n
-    is at most ROW_BLOCK, so the peak memory is O(ROW_BLOCK * n) beyond
-    the padded stack and no n x n array is built.
+    count twice in place of s = 1..n/2-1, leaving s = -n/2..0, the blocks
+    of _correlation_blocks.  K is built once and the stack padded once
+    per call.  The (row, q) correlation rows go ROW_BLOCK at a time, whole
+    rows of the stack together when n is at most ROW_BLOCK, so the peak
+    memory is O(ROW_BLOCK * n) beyond the padded stack and no n x n array
+    is built.
     """
     norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1) * grid.dq)
     wrap, allowed, edge = _pad_modes(amps)
@@ -243,8 +320,7 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
         valid = int(np.argmax(failed))
         error = (failure(NORM_CHECK, abs(norms[valid] - 1.0), NORM_TOL,
                          PreconditionError) or _edge_failure(edge[valid]))
-    n, half = grid.n, grid.n // 2
-    plus, minus = _shift_pairs(amps[:valid], wrap[:valid])
+    half = grid.n // 2
     pgrid, dp = wigner_pgrid(grid)
     # K at s = -t is rfft(ifftshift(pgrid^order))[t] for t = 0..n/2
     powers = np.fft.ifftshift(pgrid) ** np.asarray(orders)[:, None]
@@ -253,32 +329,56 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
     # Re(K c) = K.real c.real - K.imag c.imag: one real product of the
     # interleaved (real, imag) views of conj(K) and the correlation block
     kernel = np.conj(K).view(float)
-    out = np.empty((len(orders), valid, n))
-    rows = min(ROW_BLOCK, n)  # q rows of one stack row per block
-    stack_rows = max(1, ROW_BLOCK // n)  # stack rows per block
-    buffer = np.empty(stack_rows * rows * (half + 1), dtype=complex)
-    for r0 in range(0, valid, stack_rows):
-        r = slice(r0, min(r0 + stack_rows, valid))
-        for q0 in range(0, n, rows):
-            q = slice(q0, min(q0 + rows, n))
-            shape = (r.stop - r.start, q.stop - q.start, half + 1)
-            c = buffer[:math.prod(shape)].reshape(shape)
-            np.conjugate(plus[r, q, :half + 1], out=c)
-            c *= minus[r, q, :half + 1]
-            block = kernel @ c.reshape(-1, half + 1).view(float).T
-            out[:, r, q] = block.reshape(len(orders), *shape[:2])
+    out = np.empty((len(orders), valid, grid.n))
+    for r, q, c in _correlation_blocks(amps[:valid], wrap[:valid], ROW_BLOCK):
+        block = kernel @ c.reshape(-1, half + 1).view(float).T
+        out[:, r, q] = block.reshape(len(orders), *c.shape[:2])
     return out, error
+
+
+def _margenau_hill_blocks(psi: Wavefunction):
+    """Check the state (normalization, then the memory budget) and return
+    the generator of (q, z) per block of N2_ROW_BLOCK q rows, Re(z) the
+    Margenau-Hill cells of those rows; z is fresh per block.
+
+    On the grid q_j p_k/hbar = q_min p_k/hbar + 2 pi j k/n - pi j, so
+    F_MH[j, k] = Re(a_j b_k omega^(j k mod n)) with a_j = (-1)^j
+    conj(psi_j), b_k = phi_k e^{i q_min p_k/hbar}/sqrt(2 pi hbar) and the
+    1D table omega^m = e^{2 pi i m/n}.  The residues of j k are those of
+    the block's first row plus the fixed (r k) mod n of its row r, whose
+    sum indexes the table laid out over two turns."""
+    require_normalized(psi)
+    g = psi.grid
+    _require_memory_budget(g, MH_BYTES_PER_CELL, "Margenau-Hill transform")
+    n = g.n
+    a = np.conj(psi.amp)
+    a[1::2] *= -1.0
+    k = np.arange(n)
+    # q_min p_k/hbar = 2 pi (q_min/L) (k - n/2) turns, reduced before the
+    # exp (exact for a symmetric window, where q_min/L = -1/2)
+    turns = g.q_min / g.length * (k - n // 2)
+    b = (momentum_representation(psi)
+         * np.exp(2j * np.pi * (turns - np.round(turns)))
+         / np.sqrt(2.0 * np.pi * g.hbar))
+    omega = np.tile(np.exp(2j * np.pi * np.arange(n) / n), 2)
+    residues = np.multiply.outer(np.arange(min(N2_ROW_BLOCK, n)), k) % n
+
+    def blocks():
+        for _, q in _row_blocks(1, n, N2_ROW_BLOCK):
+            z = omega[residues[:q.stop - q.start] + q.start * k % n]
+            z *= b
+            z *= a[q, None]
+            yield q, z
+    return blocks()
 
 
 def margenau_hill_transform(psi: Wavefunction) -> QuasiDistribution:
     """Margenau-Hill distribution on the standard momentum grid."""
-    require_normalized(psi)
+    blocks = _margenau_hill_blocks(psi)
     g = psi.grid
-    _require_memory_budget(g, MH_BYTES_PER_CELL, "Margenau-Hill transform")
-    phi = momentum_representation(psi)
-    cross = np.exp(1j * np.outer(g.q, g.p) / g.hbar)
-    values = np.real(np.conj(psi.amp)[:, None] * phi[None, :] * cross)
-    values /= np.sqrt(2.0 * np.pi * g.hbar)
+    values = np.empty((g.n, g.n))
+    for q, z in blocks:
+        values[q] = z.real
     return QuasiDistribution(kind="margenau_hill", grid=g, pgrid=g.p,
                              dp=g.dp, values=values)
 
@@ -317,41 +417,55 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
     zero-filled, matching the exactly-zero Margenau-Hill rows there.  Row
     sums satisfy sum_k P(p_k|q) dp = 1 exactly on every computed row
     (G(0, q) = 1 by construction).
+
+    G(-s, q) = conj(G(s, q)), so the shifts s = -n/2..0 of the
+    periodically padded amplitude carry every row (_hermitian_rows).
     """
     require_normalized(psi)
     g = psi.grid
     _require_memory_budget(g, CONDITIONAL_BYTES_PER_CELL,
                            "conditional momentum distribution")
+    n, half = g.n, g.n // 2
     amp = psi.amp
     live = amp != 0
-    plus, minus = _shift_pairs(amp[None, :], np.ones(1, dtype=bool))
-    plus, minus = plus[0], minus[0]
-    # G(hbar*tau = s*dq, q_i) for all on-grid shifts s at once
-    terms = plus[live, :] / (2.0 * amp[live, None])
-    terms += np.conj(minus[live, :]) / (2.0 * np.conj(amp[live, None]))
-    G = np.zeros((g.n, g.n), dtype=complex)
-    G[live, :] = np.fft.ifftshift(terms, axes=1)  # columns in FFT order
-    del terms  # freed before the FFT, as the per-cell estimate assumes
-    rows = np.fft.fft(G, axis=1).real
-    rows *= g.dq / (2.0 * np.pi * g.hbar)
-    return np.fft.fftshift(rows, axes=1)
+    den = np.where(live, 2.0 * amp, 1.0)[:, None]  # dead rows zeroed below
+    windows = _windows(amp[None, :], np.ones(1, dtype=bool))[0]
+
+    def blocks():
+        # x(s) = G(-s, q) = psi(q - s)/(2 psi(q)) + conj(psi(q + s)/(2 psi(q)))
+        x = np.empty((min(N2_ROW_BLOCK, n), half + 1), dtype=complex)
+        tail = np.empty_like(x)
+        for _, q in _row_blocks(1, n, N2_ROW_BLOCK):
+            h, t = x[:q.stop - q.start], tail[:q.stop - q.start]
+            np.divide(windows[q, :half + 1], den[q], out=t)
+            np.divide(windows[q, n:half - 1:-1], den[q], out=h)
+            h += np.conjugate(t, out=t)
+            yield q, h
+
+    values = np.empty((n, n))
+    _hermitian_rows(blocks(), g.dq / (2.0 * np.pi * g.hbar), values)
+    values[~live] = 0.0
+    return values
 
 
 def bayes_product(psi: Wavefunction,
                   conditional: np.ndarray) -> QuasiDistribution:
     """rho(q) * P_S(p|q) per cell; must reconstruct the Margenau-Hill
     distribution within 1e-7 per cell or the two pipelines have diverged
-    (SelfCheckError)."""
+    (SelfCheckError).  The Margenau-Hill rows are built and compared a
+    block at a time, so the reference is never held whole."""
     require_normalized(psi)
     g = psi.grid
     if conditional.shape != (g.n, g.n):
         raise PreconditionError("conditional distribution has wrong shape %s"
                                 % (conditional.shape,))
+    blocks = _margenau_hill_blocks(psi)
     values = psi.rho()[:, None] * conditional
-    reference = margenau_hill_transform(psi)
+    deviation = 0.0
+    for q, z in blocks:
+        # np.max and np.maximum propagate NaN, so a NaN cell fails the check
+        deviation = np.maximum(deviation, np.max(np.abs(values[q] - z.real)))
     check("Bayes product, largest cell deviation from the Margenau-Hill "
-          "distribution", np.max(np.abs(values - reference.values)),
-          BAYES_CELL_TOL, SelfCheckError)
+          "distribution", deviation, BAYES_CELL_TOL, SelfCheckError)
     return QuasiDistribution(kind="margenau_hill", grid=g, pgrid=g.p,
                              dp=g.dp, values=values)
-

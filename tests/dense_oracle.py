@@ -1,11 +1,18 @@
 """Brute-force dense-matrix route to every S/C local quantity, and direct
-sums for the Wigner and conditional n x n transforms.
+sums and full-array formulas for the Wigner, Margenau-Hill and conditional
+n x n transforms.
 
 The momentum operator is the exact spectral-derivative dense matrix
 (conjugate DFT, diagonal multiply, DFT), the position projector on cell j
 is the rank-one matrix e_j e_j^T / dq, and every quantity is assembled by
 explicit matrix algebra.  The transforms are explicit loops over their
 defining sums.  Independent of the FFT pipeline being tested.
+
+The *_full transforms are the whole-array formulas the package used before
+its row-blocked half-spectrum routes: every cell of the n x n correlation
+or shift product at once, a full complex FFT per row and, for
+Margenau-Hill, the n x n phase e^{i q p/hbar}.  They are fast enough to
+check the blocked routes at sizes with partial row blocks.
 
 The hydrodynamic residuals are the exception: hydrodynamic_residuals
 recomputes them one snapshot at a time with the package's own spectral
@@ -15,7 +22,7 @@ chunked dynamics.hydrodynamic_residuals, which must equal it bit for bit.
 
 import numpy as np
 
-from locmom.core import spatial_derivative
+from locmom.core import momentum_representation, spatial_derivative
 from locmom.errors import SelfCheckError, check
 from locmom.moments import moment_densities, momentum_power
 
@@ -117,6 +124,66 @@ def conditional_direct(grid, psi: np.ndarray) -> np.ndarray:
             phase = np.exp(-1j * grid.p * j * grid.dq / grid.hbar)
             out[i] += np.real(G * phase)
     return out * grid.dq / (2.0 * np.pi * grid.hbar)
+
+
+def margenau_hill_direct(grid, psi: np.ndarray) -> np.ndarray:
+    """F_MH(q_j, p_k) = Re[conj(psi_j) phi_k e^{i p_k q_j/hbar}]
+    / sqrt(2 pi hbar) on the standard ascending p grid, with the explicit
+    DFT phi_k = dq/sqrt(2 pi hbar) sum_l psi_l e^{-i p_k q_l/hbar}."""
+    n, q, p, hbar = grid.n, grid.q, grid.p, grid.hbar
+    norm = np.sqrt(2.0 * np.pi * hbar)
+    phi = np.zeros(n, dtype=complex)
+    for k in range(n):
+        for j in range(n):
+            phi[k] += psi[j] * np.exp(-1j * p[k] * q[j] / hbar)
+    phi *= grid.dq / norm
+    out = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            out[j, k] = np.real(np.conj(psi[j]) * phi[k]
+                                * np.exp(1j * p[k] * q[j] / hbar)) / norm
+    return out
+
+
+def _shifted(psi: np.ndarray, periodic: bool):
+    """(plus, minus) n x n: psi at i + s and at i - s, s = -n/2..n/2-1
+    ascending, padded periodically or with zeros."""
+    n, half = len(psi), len(psi) // 2
+    padded = np.pad(psi, half, mode="wrap" if periodic else "constant")
+    i = np.arange(n)[:, None] + half
+    s = np.arange(-half, half)[None, :]
+    return padded[i + s], padded[i - s]
+
+
+def wigner_full(grid, psi: np.ndarray, periodic: bool) -> np.ndarray:
+    """The Wigner sum of wigner_direct as one complex ifft per row of the
+    whole correlation matrix."""
+    plus, minus = _shifted(psi, periodic)
+    rows = np.fft.ifft(np.fft.ifftshift(np.conj(plus) * minus, axes=1),
+                       axis=1) * grid.n
+    return np.fft.fftshift(rows.real, axes=1) * (grid.dq
+                                                 / (np.pi * grid.hbar))
+
+
+def margenau_hill_full(grid, psi) -> np.ndarray:
+    """Margenau-Hill cells with the n x n phase e^{i q p/hbar}."""
+    phi = momentum_representation(psi)
+    cross = np.exp(1j * np.outer(grid.q, grid.p) / grid.hbar)
+    values = np.real(np.conj(psi.amp)[:, None] * phi[None, :] * cross)
+    return values / np.sqrt(2.0 * np.pi * grid.hbar)
+
+
+def conditional_full(grid, psi: np.ndarray) -> np.ndarray:
+    """The sum of conditional_direct as one complex fft per row of the
+    whole G(tau, q) matrix, zero rows where psi = 0."""
+    plus, minus = _shifted(psi, periodic=True)
+    live = psi != 0
+    G = np.zeros((grid.n, grid.n), dtype=complex)
+    G[live] = np.fft.ifftshift(
+        plus[live] / (2.0 * psi[live, None])
+        + np.conj(minus[live]) / (2.0 * np.conj(psi[live, None])), axes=1)
+    rows = np.fft.fft(G, axis=1).real * (grid.dq / (2.0 * np.pi * grid.hbar))
+    return np.fft.fftshift(rows, axes=1)
 
 
 def amplitude_fields(psi):

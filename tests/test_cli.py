@@ -401,6 +401,61 @@ def test_config_wrong_type_exits_2(tmp_path, capsys, data, field):
     assert field in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("via_config, value", [
+    (True, 10 ** 400), (True, 2 ** 30), (False, 2 ** 30),
+    (False, cli.GRID_N_MAX + 2)])
+def test_grid_n_over_its_bound_exits_2_before_any_allocation(
+        tmp_path, capsys, monkeypatch, via_config, value):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+    monkeypatch.setattr(cli, "make_grid", no_grid)
+    argv = ["moments", "--grid-n", str(value)]
+    if via_config:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid_n": value}))
+        argv = ["moments", "--config", str(cfg_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["message"] == (
+        "grid_n must be an integer at most 262144, got %d" % value)
+
+
+@pytest.mark.parametrize("text", [
+    b'{"grid_n": %s}' % (b"9" * 5000), b'{"state": "\xff"}'])
+def test_config_file_python_cannot_decode_exits_2(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(text)
+    code, out, err = run(["moments", "--config", str(cfg_path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["message"].startswith(
+        "config file is not valid JSON: ")
+
+
+def test_grid_n_bound_is_admitted():
+    RunConfig(grid_n=cli.GRID_N_MAX).validate()
+
+
+FLOAT_FLAGS = sorted({(command, "--" + f.name.replace("_", "-"))
+                      for f in fields(RunConfig) if type(f.default) is float
+                      for command in f.metadata["commands"]})
+
+
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+def test_float_flag_takes_a_negative_number_spaced(command, flag):
+    for text in ("-1.6e1", "-1.6E+1", "-.16e2"):
+        args = cli._build_parser().parse_args([command, flag, text])
+        assert getattr(args, flag[2:].replace("-", "_")) == -16.0, text
+
+
+def test_negative_exponent_flag_value_runs_as_the_joined_form(capsys):
+    tail = ["--grid-n", "64", "--q-max", "1.6e1", "--definition", "S"]
+    spaced = run(["moments", "--q-min", "-1.6e1", *tail], capsys)
+    joined = run(["moments", "--q-min=-16", *tail], capsys)
+    assert spaced == joined and spaced[0] == 0
+
+
 def test_config_accepts_typed_values(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"grid_n": 512, "q_min": -16,

@@ -12,7 +12,9 @@ from locmom import phasespace as ps
 from locmom.core import spatial_derivative
 
 from conftest import CORPUS, GAUSS, TWO_GAUSS, make_state
-from dense_oracle import conditional_direct, wigner_direct
+from dense_oracle import (conditional_direct, conditional_full,
+                          margenau_hill_direct, margenau_hill_full,
+                          wigner_direct, wigner_full)
 
 PLANE_K = 2.0 * np.pi * 4.0 / 40.0
 
@@ -398,6 +400,14 @@ def test_conditional_momentum_normalization_and_mean(gauss512):
     assert np.max(np.abs(first[m] - 2.0)) < 1e-7
 
 
+def test_conditional_momentum_zero_rows_at_exact_nodes(grid512):
+    psi = make_state("oscillator", grid512)
+    node = np.flatnonzero(psi.amp == 0)
+    assert list(node) == [grid512.n // 2]  # q = 0
+    P = lm.conditional_momentum_S(psi)
+    assert not P[node].any() and np.all(np.isfinite(P))
+
+
 def test_bayes_product_reconstructs_mh(any_state):
     P = lm.conditional_momentum_S(any_state)
     B = lm.bayes_product(any_state, P)
@@ -438,6 +448,13 @@ DIRECT_CASES = ([(16, 10.0, name) for name in ("plane_wave", "oscillator")]
                 + [(32, 16.0, name) for name in CORPUS])
 
 
+def row_relative(P, reference):
+    """P(p|q) grows like 1/|psi(q)| in the tails: the deviation of each row
+    relative to its largest cell (or to 1)."""
+    scale = np.maximum(1.0, np.max(np.abs(reference), axis=1, keepdims=True))
+    return np.max(np.abs(P - reference) / scale)
+
+
 @pytest.mark.parametrize("n,half,name", DIRECT_CASES)
 def test_n2_transforms_match_their_direct_sums(n, half, name):
     grid = lm.make_grid(n, -half, half)
@@ -445,12 +462,28 @@ def test_n2_transforms_match_their_direct_sums(n, half, name):
     W = lm.wigner_transform(psi).values
     assert np.max(np.abs(W - wigner_direct(
         grid, psi.amp, periodic=name == "plane_wave"))) < 1e-13
-    # P(p|q) grows like 1/|psi(q)| in the tails: compare each row relative
-    # to its largest cell
+    M = lm.margenau_hill_transform(psi).values
+    assert np.max(np.abs(M - margenau_hill_direct(grid, psi.amp))) < 1e-13
     P = lm.conditional_momentum_S(psi)
-    direct = conditional_direct(grid, psi.amp)
-    scale = np.maximum(1.0, np.max(np.abs(direct), axis=1, keepdims=True))
-    assert np.max(np.abs(P - direct) / scale) < 1e-13
+    assert row_relative(P, conditional_direct(grid, psi.amp)) < 1e-13
+
+
+# n = 200 and 600 end in a partial block of N2_ROW_BLOCK rows; n = 202
+# has an odd n/2, which flips the output sign pattern of _hermitian_rows
+@pytest.mark.parametrize("n", [200, 202, 512, 600])
+@pytest.mark.parametrize("name", CORPUS)
+def test_n2_transforms_match_the_full_array_routes(n, name):
+    """The row-blocked half-spectrum routes against the whole-array
+    formulas, within the direct-sum bounds."""
+    grid = lm.make_grid(n, -20.0, 20.0)
+    psi = make_state(name, grid)
+    W = lm.wigner_transform(psi).values
+    assert np.max(np.abs(W - wigner_full(
+        grid, psi.amp, periodic=name == "plane_wave"))) < 1e-13
+    M = lm.margenau_hill_transform(psi).values
+    assert np.max(np.abs(M - margenau_hill_full(grid, psi))) < 1e-13
+    P = lm.conditional_momentum_S(psi)
+    assert row_relative(P, conditional_full(grid, psi.amp)) < 1e-13
 
 
 def test_n2_transforms_refuse_over_memory_budget(monkeypatch, gauss512):
@@ -471,18 +504,48 @@ def test_n2_transforms_refuse_over_memory_budget(monkeypatch, gauss512):
         assert fit ** 2 * per_cell <= budget < (fit + 2) ** 2 * per_cell
 
 
-def test_n2_transform_peaks_stay_within_their_estimates(gauss512):
-    for transform, per_cell in (
-            (lm.wigner_transform, ps.WIGNER_BYTES_PER_CELL),
-            (lm.margenau_hill_transform, ps.MH_BYTES_PER_CELL),
-            (lm.conditional_momentum_S, ps.CONDITIONAL_BYTES_PER_CELL)):
-        tracemalloc.start()
-        try:
-            transform(gauss512)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 512 ** 2 * per_cell, transform.__name__
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def gauss2048():
+    return lm.synthesize(GAUSS, lm.make_grid(2048, -40.0, 40.0))
+
+
+def n2_routes(psi):
+    """(name, call, bytes per cell of its estimate) of each n x n route;
+    the Bayes check builds the Margenau-Hill rows."""
+    P = lm.conditional_momentum_S(psi)
+    return (("wigner", lambda: lm.wigner_transform(psi),
+             ps.WIGNER_BYTES_PER_CELL),
+            ("mh", lambda: lm.margenau_hill_transform(psi),
+             ps.MH_BYTES_PER_CELL),
+            ("conditional", lambda: lm.conditional_momentum_S(psi),
+             ps.CONDITIONAL_BYTES_PER_CELL),
+            ("bayes", lambda: lm.bayes_product(psi, P), ps.MH_BYTES_PER_CELL))
+
+
+def test_n2_transform_peaks_stay_within_their_estimates(gauss512,
+                                                       gauss2048):
+    gauss256 = lm.synthesize(GAUSS, lm.make_grid(256, -20.0, 20.0))
+    for psi in (gauss256, gauss512, gauss2048):
+        n = psi.grid.n
+        for name, call, per_cell in n2_routes(psi):
+            assert traced_peak(call) <= n ** 2 * per_cell, (n, name)
+
+
+def test_n2_routes_hold_no_complex_n_by_n_array(gauss2048):
+    """The result is one float n x n array and the rest goes a row block
+    at a time: an n x n complex array alone would take 16 n^2 bytes."""
+    n = 2048
+    for name, call, _ in n2_routes(gauss2048):
+        assert traced_peak(call) < 16 * n ** 2, name
 
 
 def test_memory_budget_admits_an_estimate_equal_to_it(monkeypatch,
