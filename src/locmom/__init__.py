@@ -11,26 +11,24 @@ from .errors import (ConfigError, LocmomError, PreconditionError,
                      SelfCheckError)
 from .moments import (LocalProfile, ObservableSpec, VarianceDecomposition,
                       density_inequality_witness, direct_variance,
-                      global_average, linear_action, local_density_S,
-                      local_second_moment_S, local_value, local_value_S,
+                      global_average, linear_action, local_value,
                       local_variance, local_variance_C, local_variance_S,
                       moment_densities, momentum_power,
                       phase_space_local_moment, phase_space_local_variance,
-                      position_function, sandwich_density,
-                      variance_decomposition, variance_difference_term)
+                      position_function, variance_decomposition,
+                      variance_difference_term)
 from .phasespace import (CharacteristicSlice, QuasiDistribution,
                          bayes_product, characteristic_function_S,
                          conditional_momentum_S, margenau_hill_transform,
-                         momentum_amplitudes_at, wigner_moment_densities,
-                         wigner_moment_density_stack, wigner_transform)
+                         wigner_moment_densities, wigner_moment_density_stack,
+                         wigner_transform)
 from .classical import (ClassicalObservable, ObservableDistribution,
                         classical_local_moment, classical_local_variance,
                         classical_variance_decomposition, gaussian_density,
                         momentum_variable, observable_distribution,
                         position_variable, wigner_as_classical)
 from .dynamics import (EvolutionTrace, Potential, PropagationConfig,
-                       continuity_residual, euler_residual_W, free_potential,
-                       gaussian_barrier, harmonic_potential,
+                       free_potential, gaussian_barrier, harmonic_potential,
                        hydrodynamic_residuals, kinetic_energy_densities,
                        split_step_propagate)
 from .states import (Gaussian, GaussianOracle, OscillatorEigenstate,

@@ -304,9 +304,10 @@ def cmd_evolve(cfg: RunConfig) -> int:
     trace = dynamics.split_step_propagate(psi, V, run)
     trace_half = dynamics.split_step_propagate(psi, V, half)
 
-    cont, euler = dynamics.hydrodynamic_residuals(trace, cfg.mask_eps)
-    cont_half, euler_half = dynamics.hydrodynamic_residuals(trace_half,
-                                                            cfg.mask_eps)
+    cont, euler, rho, pbar, mask = dynamics.hydrodynamic_residuals(
+        trace, cfg.mask_eps)
+    cont_half, euler_half = dynamics.hydrodynamic_residuals(
+        trace_half, cfg.mask_eps)[:2]
     drift = max(abs(s.norm() - 1.0) for s in trace.snapshots)
 
     report = {"potential": V.label, "dt": cfg.dt, "steps": cfg.steps,
@@ -323,17 +324,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
     sys.stdout.write(io.json_text(report))
 
     if cfg.out is not None:
-        rho_rows, pbar_rows, masks = [], [], []
-        for snap in trace.snapshots:
-            prof = moments.local_value_S(snap, moments.momentum_power(1),
-                                         cfg.mask_eps)
-            rho_rows.append(snap.rho())
-            pbar_rows.append(prof.profile.values)
-            masks.append(prof.profile.mask)
-        full = [np.ones(grid.n, dtype=bool)] * len(trace.snapshots)
-        _write_output(io.trace_csv(trace, rho_rows, full), cfg.out + "_rho.csv")
-        _write_output(io.trace_csv(trace, pbar_rows, masks),
-                      cfg.out + "_pbar.csv")
+        _write_output(io.trace_csv(trace, rho, np.ones_like(mask)),
+                      cfg.out + "_rho.csv")
+        _write_output(io.trace_csv(trace, pbar, mask), cfg.out + "_pbar.csv")
         _write_output(io.json_text(report), cfg.out + "_report.json")
     return 0
 

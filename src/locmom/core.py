@@ -5,8 +5,13 @@ Conventions used throughout the package:
 * position grid     q_j = q_min + j*dq,  j = 0..n-1,  dq = (q_max - q_min)/n
   (periodic: q_max is identified with q_min);
 * momentum grid     p_k = 2*pi*hbar*k/(n*dq) with k wrapped per FFT
-  convention internally; every externally visible momentum array is
-  re-sorted ascending, p in [-pi*hbar/dq, pi*hbar/dq);
+  convention internally (GridSpec.p_wrapped, the one momentum grid); every
+  externally visible momentum array is re-sorted ascending,
+  p in [-pi*hbar/dq, pi*hbar/dq);
+* one spectral seam spectral_multiply: every FFT round trip of a
+  position-space field (p^n psi, d/dq = (i/hbar) p, the split-step kinetic
+  factor) multiplies the spectrum by a factor sampled on p_wrapped, so the
+  Nyquist mode sits at p_N = -pi*hbar/dq for every p^n and d/dq alike;
 * transform pair    phi(p) = dq/sqrt(2*pi*hbar) * sum_j psi(q_j) e^{-i p q_j/hbar}
                     psi(q) = dp/sqrt(2*pi*hbar) * sum_k phi(p_k) e^{+i p_k q/hbar}
   which is unitary on the grid (discrete Parseval holds to roundoff);
@@ -193,8 +198,19 @@ def apply_momentum_power(psi: Wavefunction, n: int) -> np.ndarray:
             "momentum power %d is over the cap %d" % (n, MOMENTUM_POWER_CAP))
     if n == 0:
         return np.array(psi.amp, dtype=complex)
-    g = psi.grid
-    return np.fft.ifft((g.p_wrapped ** n) * np.fft.fft(psi.amp))
+    (out,) = spectral_multiply(psi.amp, psi.grid.p_wrapped ** n)
+    return out
+
+
+def spectral_multiply(amps: np.ndarray, *factors: np.ndarray) -> tuple:
+    """ifft(f * fft(amps)) for each factor f sampled on GridSpec.p_wrapped.
+
+    amps is one row or a stack of rows along the last axis; one forward
+    FFT serves every factor, and each row of a stack gives the same bits
+    as a call on that row alone.  A factor f(p) applies the operator
+    f(p_hat), e.g. p**n for p_hat^n and (1j/hbar)*p for d/dq."""
+    spectrum = np.fft.fft(amps)
+    return tuple(np.fft.ifft(f * spectrum) for f in factors)
 
 
 def masked_quotient(psi: Wavefunction, numerator: np.ndarray,
@@ -233,21 +249,17 @@ def integrate(profile: RealProfile) -> float:
 
 
 def spatial_derivative(field, grid: GridSpec | None = None):
-    """Spectral d/dq of a RealProfile or of a raw (real or complex) array.
-
-    Multiplies by ik in the transform domain with the Nyquist mode zeroed,
-    so real input yields real output.  Exact for band-limited inputs; the
-    caller is responsible for the input being smooth relative to the grid.
-    """
+    """Spectral d/dq of a RealProfile or of a raw (real or complex) array:
+    the factor (i/hbar) p on the seam, so real input yields the real part.
+    Exact for band-limited inputs; the caller is responsible for the input
+    being smooth relative to the grid."""
     if isinstance(field, RealProfile):
         deriv = spatial_derivative(field.values, field.grid)
         return RealProfile(field.grid, deriv, field.mask.copy())
     if grid is None:
         raise ValueError("grid is required when differentiating a raw array")
     values = np.asarray(field)
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dq)
-    k[grid.n // 2] = 0.0
-    out = np.fft.ifft(1j * k * np.fft.fft(values))
+    (out,) = spectral_multiply(values, (1j / grid.hbar) * grid.p_wrapped)
     if not np.iscomplexobj(values):
         return out.real
     return out

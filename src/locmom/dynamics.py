@@ -14,9 +14,14 @@ every differentiated quotient is expanded analytically, e.g.
     d(D/rho)/dq = (D' rho - D rho') / rho^2,
 
 with D', rho' and the second-moment derivative built by the product rule
-from spectrally differentiated amplitude fields.  That keeps the roundoff
-proportional to the local amplitude and the residual floors far below the
-stated tolerances.
+from the amplitude fields p psi, p^2 psi and p^3 psi, which one forward
+FFT of a chunk of snapshots gives through core.spectral_multiply
+(d/dq = (i/hbar) p, on the Nyquist convention of apply_momentum_power).
+That keeps the roundoff proportional to the local amplitude and the
+residual floors far below the stated tolerances.  The same pass hands
+back rho and pbar = D/rho of every snapshot: pbar is the S local value of
+p, so the evolve trace needs no pass of its own.  The split-step kinetic
+factor goes through the same seam.
 
 A trace is worked on in chunks of consecutive snapshots stacked as
 (snapshots, n) arrays: the fields, the Wigner cross-check and the time
@@ -36,7 +41,7 @@ import numpy as np
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    apply_momentum_power, quotient_on, require_normalized,
-                   spatial_derivative)
+                   spectral_multiply)
 from .errors import PreconditionError, SelfCheckError, check
 from .moments import moment_densities, momentum_power
 from .phasespace import ROW_BLOCK, wigner_moment_density_stack
@@ -129,7 +134,7 @@ def split_step_propagate(psi0: Wavefunction, V: Potential,
     times = [0.0]
     snapshots = [Wavefunction(g, amp.copy())]
     for step in range(1, cfg.steps + 1):
-        amp = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * amp))
+        amp = half_v * spectral_multiply(half_v * amp, kinetic)[0]
         if step % cfg.snapshot_stride == 0 or step == cfg.steps:
             times.append(step * cfg.dt)
             snapshots.append(Wavefunction(g, amp.copy()))
@@ -153,26 +158,28 @@ def _require_uniform_stride(trace: EvolutionTrace) -> float:
     return float(gaps[0])
 
 
-def _amplitude_fields(amps: np.ndarray, g: GridSpec, out: np.ndarray) -> None:
+def _amplitude_fields(amps: np.ndarray, g: GridSpec,
+                      out: np.ndarray) -> np.ndarray:
     """Density, momentum density and second-moment density of each
-    amplitude row, with their exact product-rule spatial derivatives,
-    written to out = (rho, drho, D, dD, m2, dm2)."""
-    d1 = spatial_derivative(amps, g)
-    d2 = spatial_derivative(d1, g)
-    d3 = spatial_derivative(d2, g)
-    p_psi = -1j * g.hbar * d1
-    p_psi_d = -1j * g.hbar * d2
-    p2_psi = -g.hbar ** 2 * d2
-    p2_psi_d = -g.hbar ** 2 * d3
-    rho, drho, D, dD, m2, dm2 = out
+    amplitude row, with their exact product-rule spatial derivatives:
+    out = (rho, drho, D, dD, dm2) is written and m2, which only the
+    Wigner check reads, is returned.
+
+    p psi, p^2 psi and p^3 psi come from one forward FFT of the rows, and
+    d/dq = (i/hbar) p turns each derivative into an imaginary part, e.g.
+    drho = 2 Re[conj(psi) (i/hbar) p psi] = -(2/hbar) Im[conj(psi) p psi].
+    """
+    p = g.p_wrapped
+    p1, p2, p3 = spectral_multiply(amps, p, p ** 2, p ** 3)
+    conj = np.conj(amps)
+    rho, drho, D, dD, dm2 = out
     rho[...] = np.abs(amps) ** 2
-    drho[...] = 2.0 * np.real(np.conj(amps) * d1)
-    D[...] = np.real(np.conj(amps) * p_psi)
-    dD[...] = np.real(np.conj(d1) * p_psi + np.conj(amps) * p_psi_d)
-    m2[...] = (0.5 * np.real(np.conj(amps) * p2_psi)
-               + 0.5 * np.abs(p_psi) ** 2)
-    dm2[...] = (0.5 * np.real(np.conj(d1) * p2_psi + np.conj(amps) * p2_psi_d)
-                + np.real(np.conj(p_psi) * p_psi_d))
+    drho[...] = -2.0 / g.hbar * np.imag(conj * p1)
+    D[...] = np.real(conj * p1)
+    dD[...] = -1.0 / g.hbar * np.imag(conj * p2)
+    dm2[...] = -0.5 / g.hbar * (np.imag(np.conj(p1) * p2)
+                                + np.imag(conj * p3))
+    return 0.5 * np.real(conj * p2) + 0.5 * np.abs(p1) ** 2
 
 
 WIGNER_MOMENT_DENSITY_TOL = 1e-8
@@ -200,9 +207,9 @@ def _checked_fields(snapshots, g: GridSpec, out: np.ndarray) -> None:
     first failing check: normalization, pad mode, then the densities.
     """
     amps = np.stack([s.amp for s in snapshots])
-    _amplitude_fields(amps, g, out)
+    m2 = _amplitude_fields(amps, g, out)
     (m1w, m2w), error = wigner_moment_density_stack(amps, g, (1, 2))
-    D, m2 = out[2, :len(m1w)], out[4, :len(m1w)]
+    D, m2 = out[2, :len(m1w)], m2[:len(m1w)]
     dev = np.maximum(np.max(np.abs(m1w - D), axis=1),
                      np.max(np.abs(m2w - m2), axis=1))
     for value in dev:
@@ -213,38 +220,57 @@ def _checked_fields(snapshots, g: GridSpec, out: np.ndarray) -> None:
 
 
 def hydrodynamic_residuals(trace: EvolutionTrace,
-                           eps_factor: float = DEFAULT_MASK_EPS
-                           ) -> tuple[float, float]:
-    """(continuity_residual, euler_residual_W) of the trace.
+                           eps_factor: float = DEFAULT_MASK_EPS) -> tuple:
+    """(continuity, euler, rho, pbar, mask) of the trace: the largest
+    residuals of the continuity equation
 
-    The six fields of every snapshot are computed once and stored as
+        d(rho)/dt + d(rho pbar/m)/dq = 0
+
+    and of the Euler-form equation for the Wigner local momentum
+
+        d(pbar_W)/dt = -(pbar_W/m) d(pbar_W)/dq - dV/dq
+                       - (1/(m rho)) d(rho sigma2_W)/dq,
+
+    then the (T, n) rows of rho, of pbar = D/rho and of pbar's mask
+    rho >= eps_factor max(rho), each row the local_value of p under S of
+    its snapshot.  The first local momentum moment is
+    definition-independent (S = MH = W), so D is evaluated once from the
+    amplitudes; the Wigner moment densities of every snapshot are checked
+    against, and the Euler residual evaluated through, their bilinear
+    forms (_checked_fields), and the quantum-pressure flux
+    rho sigma2_W = M2 - D^2/rho is differentiated through the expanded
+    product rule.
+
+    The five fields of every snapshot are computed once and stored as
     (T, n) arrays, chunk by chunk of max(1, CHUNK_ROWS // n) snapshots,
     and each chunk is checked against its Wigner moment densities
-    (_checked_fields) before the next, so that the first snapshot in time
-    order that fails raises.  The centred time differences then run over
-    the interior times of each chunk at once, reading one stored snapshot
-    beyond the chunk on each side.  Beyond the stored 6 T n floats the
-    working set is O(ROW_BLOCK n)."""
+    before the next, so that the first snapshot in time order that fails
+    raises.  The centred time differences then run over the interior
+    times of each chunk at once, reading one stored snapshot beyond the
+    chunk on each side.  Beyond the stored 6 T n floats the working set
+    is O(ROW_BLOCK n)."""
     dt = _require_uniform_stride(trace)
     g = trace.snapshots[0].grid
     mass = g.mass
     grad_v = trace.potential.grad
     count = len(trace.snapshots)
     chunk = max(1, CHUNK_ROWS // g.n)
-    fields = np.empty((6, count, g.n))  # rho, drho, D, dD, m2, dm2
+    fields = np.empty((5, count, g.n))  # rho, drho, D, dD, dm2
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         _checked_fields(trace.snapshots[start:stop], g, fields[:, start:stop])
+    rho_all, D_all = fields[0], fields[2]
+    own = rho_all >= eps_factor * rho_all.max(axis=1, keepdims=True)
+    pbar_all = quotient_on(own, D_all, rho_all)
 
     continuity = euler = 0.0
     for start in range(1, count - 1, chunk):
         # the chunk's interior times and one stored snapshot on each side
-        window = fields[:, start - 1:min(start + chunk, count - 1) + 1]
-        rho_w, D_w = window[0], window[2]
-        own = rho_w >= eps_factor * rho_w.max(axis=1, keepdims=True)
-        mask = own[:-2] & own[1:-1] & own[2:]
-        pbar = quotient_on(own, D_w, rho_w)
-        rho, drho, D, dD, _, dm2 = window[:, 1:-1]
+        stop = min(start + chunk, count - 1)
+        rho_w, pbar, near = (a[start - 1:stop + 1]
+                             for a in (rho_all, pbar_all, own))
+        mask = near[:-2] & near[1:-1] & near[2:]
+        rho, drho, D, dD, dm2 = fields[:, start:stop]
         drho_dt = (rho_w[2:] - rho_w[:-2]) / (2.0 * dt)
         flux = drho_dt + dD / mass
         continuity = max(continuity, float(np.max(np.abs(flux), where=mask,
@@ -260,32 +286,8 @@ def hydrodynamic_residuals(trace: EvolutionTrace,
                     + pressure / mass)
         euler = max(euler, float(np.max(np.abs(residual), where=mask,
                                         initial=0.0)))
-    return continuity, euler
-
-
-def continuity_residual(trace: EvolutionTrace,
-                        eps_factor: float = DEFAULT_MASK_EPS) -> float:
-    """Max residual of  d(rho)/dt + d(rho*pbar/m)/dq = 0.
-
-    The first local momentum moment is definition-independent
-    (S = MH = W), so the momentum density rho*pbar is evaluated once from
-    the amplitudes.  Taken from hydrodynamic_residuals, which also checks
-    each snapshot's Wigner moment densities."""
-    return hydrodynamic_residuals(trace, eps_factor)[0]
-
-
-def euler_residual_W(trace: EvolutionTrace,
-                     eps_factor: float = DEFAULT_MASK_EPS) -> float:
-    """Max residual of the Euler-form equation for the Wigner local momentum,
-
-        d(pbar_W)/dt = -(pbar_W/m) d(pbar_W)/dq - dV/dq
-                       - (1/(m rho)) d(rho sigma2_W)/dq,
-
-    with the Wigner local moments of each snapshot validated against, and
-    evaluated through, their bilinear density forms (see _checked_fields),
-    and the quantum-pressure flux rho*sigma2_W = M2 - D^2/rho
-    differentiated through the expanded product rule."""
-    return hydrodynamic_residuals(trace, eps_factor)[1]
+    # a copy of rho, so that the stored fields are freed on return
+    return continuity, euler, rho_all.copy(), pbar_all, own
 
 
 def kinetic_energy_densities(psi: Wavefunction) -> dict[str, RealProfile]:

@@ -217,19 +217,6 @@ def phase_space_local_variance(F: QuasiDistribution, psi: Wavefunction,
                         variance_profile(m1.profile, m2.profile))
 
 
-def local_density_S(psi: Wavefunction, A: ObservableSpec) -> RealProfile:
-    """Symmetrized local density Re[conj(psi) (A psi)], defined at every
-    grid point; integrates to the global average <A>."""
-    (first,) = moment_densities(psi, A, "S", orders=(1,))
-    return RealProfile(psi.grid, first, np.ones(psi.grid.n, dtype=bool))
-
-
-def local_value_S(psi: Wavefunction, A: ObservableSpec,
-                  eps_factor: float = DEFAULT_MASK_EPS) -> LocalProfile:
-    """Local value Re[(A psi)(q)/psi(q)], i.e. local_density_S / rho."""
-    return local_value(psi, A, "S", eps_factor)
-
-
 def local_variance_C(psi: Wavefunction, A: ObservableSpec,
                      eps_factor: float = DEFAULT_MASK_EPS) -> LocalProfile:
     """C local variance Im[(A psi)(q)/psi(q)]^2 (manifestly nonnegative)."""
@@ -242,14 +229,6 @@ def local_variance_C(psi: Wavefunction, A: ObservableSpec,
                         RealProfile(psi.grid, np.imag(ratio) ** 2, mask))
 
 
-def local_second_moment_S(psi: Wavefunction, A: ObservableSpec,
-                          eps_factor: float = DEFAULT_MASK_EPS) -> LocalProfile:
-    """Local average of A^2 under S: Re[conj(psi) (A^2 psi)] / rho."""
-    (second,) = moment_densities(psi, A, "S", orders=(2,))
-    return LocalProfile("S", A.order,
-                        masked_quotient(psi, second, eps_factor))
-
-
 def local_variance_S(psi: Wavefunction, A: ObservableSpec,
                      eps_factor: float = DEFAULT_MASK_EPS) -> LocalProfile:
     """S local variance: second moment minus squared local value.
@@ -257,13 +236,6 @@ def local_variance_S(psi: Wavefunction, A: ObservableSpec,
     Not semidefinite positive; for a Gaussian it is negative beyond
     |q - q0| > s*sqrt(2)."""
     return local_variance(psi, A, "S", eps_factor)
-
-
-def sandwich_density(psi: Wavefunction, A: ObservableSpec) -> RealProfile:
-    """The other local density for A^2: |(A psi)(q)|^2, nonnegative,
-    integrating to <A^2>."""
-    (second,) = moment_densities(psi, A, "C", orders=(2,))
-    return RealProfile(psi.grid, second, np.ones(psi.grid.n, dtype=bool))
 
 
 def density_inequality_witness(psi: Wavefunction, A: ObservableSpec,

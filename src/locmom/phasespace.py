@@ -165,14 +165,6 @@ def wigner_pgrid(grid: GridSpec) -> tuple[np.ndarray, float]:
     return dp * (np.arange(grid.n) - grid.n // 2), dp
 
 
-def momentum_amplitudes_at(psi: Wavefunction, pvals: np.ndarray) -> np.ndarray:
-    """phi evaluated at arbitrary momenta (trigonometric interpolation of the
-    standard momentum representation)."""
-    g = psi.grid
-    phase = np.exp(-1j * np.outer(np.asarray(pvals, dtype=float), g.q) / g.hbar)
-    return g.dq / np.sqrt(2.0 * np.pi * g.hbar) * phase @ psi.amp
-
-
 def _pad_modes(amps: np.ndarray) -> tuple[np.ndarray, ...]:
     """(wrap, allowed, edge) per amplitude row: the pad mode of the Wigner
     correlation product, periodic (wrap) for a constant-modulus state and

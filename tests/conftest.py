@@ -18,6 +18,12 @@ CORPUS = ("gaussian", "plane_wave", "oscillator", "superposition")
 LOCALIZED = ("gaussian", "oscillator", "superposition")
 
 
+def density(psi, A, definition="S", order=1):
+    """The moment density of A^order under the definition."""
+    (values,) = lm.moment_densities(psi, A, definition, orders=(order,))
+    return values
+
+
 def make_state(name, grid):
     if name == "gaussian":
         return lm.synthesize(GAUSS, grid)

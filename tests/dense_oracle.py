@@ -15,14 +15,15 @@ Margenau-Hill, the n x n phase e^{i q p/hbar}.  They are fast enough to
 check the blocked routes at sizes with partial row blocks.
 
 The hydrodynamic residuals are the exception: hydrodynamic_residuals
-recomputes them one snapshot at a time with the package's own spectral
-derivative and Wigner moment densities.  It is the reference for the
-chunked dynamics.hydrodynamic_residuals, which must equal it bit for bit.
+recomputes them one snapshot at a time with the package's own
+apply_momentum_power and Wigner moment densities.  It is the reference for
+the chunked dynamics.hydrodynamic_residuals, which must equal it bit for
+bit.
 """
 
 import numpy as np
 
-from locmom.core import momentum_representation, spatial_derivative
+from locmom.core import apply_momentum_power, momentum_representation
 from locmom.errors import SelfCheckError, check
 from locmom.moments import moment_densities, momentum_power
 
@@ -86,6 +87,15 @@ def local_variance_S(grid, psi, A):
 def local_variance_C(grid, psi, A):
     rho = np.abs(psi) ** 2
     return sandwich(grid, psi, A) / rho - local_value_S(grid, psi, A) ** 2
+
+
+def momentum_amplitudes_at(psi, pvals: np.ndarray) -> np.ndarray:
+    """phi evaluated at arbitrary momenta (trigonometric interpolation of the
+    standard momentum representation), with the whole len(pvals) x n phase
+    matrix at once."""
+    g = psi.grid
+    phase = np.exp(-1j * np.outer(np.asarray(pvals, dtype=float), g.q) / g.hbar)
+    return g.dq / np.sqrt(2.0 * np.pi * g.hbar) * phase @ psi.amp
 
 
 def wigner_direct(grid, psi: np.ndarray, periodic: bool) -> np.ndarray:
@@ -188,23 +198,17 @@ def conditional_full(grid, psi: np.ndarray) -> np.ndarray:
 
 def amplitude_fields(psi):
     """Density, momentum density and second-moment density of one snapshot
-    with their product-rule spatial derivatives."""
-    g = psi.grid
+    with their product-rule spatial derivatives, d/dq = (i/hbar) p."""
+    hbar = psi.grid.hbar
     amp = psi.amp
-    d1 = spatial_derivative(amp, g)
-    d2 = spatial_derivative(d1, g)
-    d3 = spatial_derivative(d2, g)
-    p_psi = -1j * g.hbar * d1
-    p_psi_d = -1j * g.hbar * d2
-    p2_psi = -g.hbar ** 2 * d2
-    p2_psi_d = -g.hbar ** 2 * d3
+    p1, p2, p3 = (apply_momentum_power(psi, k) for k in (1, 2, 3))
     rho = np.abs(amp) ** 2
-    drho = 2.0 * np.real(np.conj(amp) * d1)
-    D = np.real(np.conj(amp) * p_psi)
-    dD = np.real(np.conj(d1) * p_psi + np.conj(amp) * p_psi_d)
-    m2 = 0.5 * np.real(np.conj(amp) * p2_psi) + 0.5 * np.abs(p_psi) ** 2
-    dm2 = (0.5 * np.real(np.conj(d1) * p2_psi + np.conj(amp) * p2_psi_d)
-           + np.real(np.conj(p_psi) * p_psi_d))
+    drho = -2.0 / hbar * np.imag(np.conj(amp) * p1)
+    D = np.real(np.conj(amp) * p1)
+    dD = -1.0 / hbar * np.imag(np.conj(amp) * p2)
+    m2 = 0.5 * np.real(np.conj(amp) * p2) + 0.5 * np.abs(p1) ** 2
+    dm2 = -0.5 / hbar * (np.imag(np.conj(p1) * p2)
+                         + np.imag(np.conj(amp) * p3))
     return {"rho": rho, "drho": drho, "D": D, "dD": dD, "m2": m2, "dm2": dm2}
 
 

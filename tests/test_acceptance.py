@@ -21,7 +21,7 @@ from locmom import dynamics as dyn
 from locmom import moments as mm
 
 import dense_oracle as dense
-from conftest import GAUSS, make_state, CORPUS
+from conftest import CORPUS, GAUSS, density, make_state
 
 RHO0 = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -48,7 +48,7 @@ def test_criterion_1_gaussian_oracle_suite(grid512, grid16):
         psi = lm.synthesize(GAUSS, grid)
         q = grid.q
         A = mm.momentum_power(1)
-        pbar = lm.local_value_S(psi, A).profile
+        pbar = lm.local_value(psi, A, "S").profile
         var_c = lm.local_variance_C(psi, A).profile
         var_s = lm.local_variance_S(psi, A).profile
         W = lm.wigner_transform(psi)
@@ -78,15 +78,13 @@ def test_criterion_2_dense_equivalence():
     for psi in states:
         m = psi.mask()
         checks = [
-            (lm.local_density_S(psi, A).values,
-             dense.density_S(grid, psi.amp, P), None),
-            (lm.local_density_S(psi, mm.momentum_power(2)).values,
+            (density(psi, A), dense.density_S(grid, psi.amp, P), None),
+            (density(psi, mm.momentum_power(2)),
              dense.density_S(grid, psi.amp, P @ P), None),
-            (lm.sandwich_density(psi, A).values,
-             dense.sandwich(grid, psi.amp, P), None),
-            (lm.local_value_S(psi, A).profile.values,
+            (density(psi, A, "C", 2), dense.sandwich(grid, psi.amp, P), None),
+            (lm.local_value(psi, A, "S").profile.values,
              dense.local_value_S(grid, psi.amp, P), m),
-            (lm.local_second_moment_S(psi, A).profile.values,
+            (lm.local_value(psi, mm.momentum_power(2), "S").profile.values,
              dense.local_second_moment_S(grid, psi.amp, P), m),
             (lm.local_variance_S(psi, A).profile.values,
              dense.local_variance_S(grid, psi.amp, P), m),
@@ -127,11 +125,11 @@ def test_criterion_4_density_pair(grid16):
     witness = lm.density_inequality_witness(psi, A)
     assert witness >= 0.19
     i0 = np.argmin(np.abs(grid16.q))
-    sandwich = lm.sandwich_density(psi, A)
-    sym = lm.local_density_S(psi, mm.momentum_power(2))
-    assert abs(sandwich.values[i0] - sym.values[i0]) >= 0.19
-    assert lm.integrate(sandwich) == pytest.approx(4.25, abs=1e-8)
-    assert lm.integrate(sym) == pytest.approx(4.25, abs=1e-8)
+    sandwich = density(psi, A, "C", 2)
+    sym = density(psi, mm.momentum_power(2))
+    assert abs(sandwich[i0] - sym[i0]) >= 0.19
+    assert np.sum(sandwich) * grid16.dq == pytest.approx(4.25, abs=1e-8)
+    assert np.sum(sym) * grid16.dq == pytest.approx(4.25, abs=1e-8)
 
 
 @report(5, "MH phase-space local moments (n=1,2) equal operator S local "
@@ -142,7 +140,7 @@ def test_criterion_5_mh_equals_s(grid512):
         M = lm.margenau_hill_transform(psi)
         for order in (1, 2):
             ps = lm.phase_space_local_moment(M, psi, order).profile
-            op = lm.local_value_S(psi, mm.momentum_power(order)).profile
+            op = lm.local_value(psi, mm.momentum_power(order), "S").profile
             assert np.max(np.abs(ps.values[ps.mask] - op.values[ps.mask])) < 1e-7
 
 
@@ -176,7 +174,7 @@ def test_criterion_7_marginals(grid512):
         psi = make_state(name, grid512)
         W = lm.wigner_transform(psi)
         assert np.max(np.abs(W.q_marginal() - psi.rho())) < 1e-8
-        phi_w = lm.momentum_amplitudes_at(psi, W.pgrid)
+        phi_w = dense.momentum_amplitudes_at(psi, W.pgrid)
         assert np.max(np.abs(W.p_marginal() - np.abs(phi_w) ** 2)) < 1e-8
         M = lm.margenau_hill_transform(psi)
         assert np.max(np.abs(M.q_marginal() - psi.rho())) < 1e-8
@@ -231,8 +229,10 @@ def test_criterion_10_hydrodynamics():
         traces = {dt: dyn.split_step_propagate(
             psi0, V, dyn.PropagationConfig(dt, round(0.1 / dt), 1))
             for dt in (2e-3, 1e-3, 5e-4)}
-        cont = {dt: dyn.continuity_residual(tr) for dt, tr in traces.items()}
-        euler = {dt: dyn.euler_residual_W(tr) for dt, tr in traces.items()}
+        residuals = {dt: dyn.hydrodynamic_residuals(tr)
+                     for dt, tr in traces.items()}
+        cont = {dt: r[0] for dt, r in residuals.items()}
+        euler = {dt: r[1] for dt, r in residuals.items()}
         assert cont[1e-3] < 1e-5
         assert euler[1e-3] < 1e-4
         # halving dt shrinks both residuals ~4x where the dt^2 error

@@ -11,6 +11,9 @@ import pytest
 
 import locmom as lm
 from locmom import classical, cli, phasespace, states
+from locmom import dynamics as dyn
+from locmom import moments as mm
+from locmom.io import fmt
 from locmom.cli import RunConfig
 from locmom.io import read_distribution_binary
 
@@ -336,10 +339,41 @@ def test_evolve_trace_exports(tmp_path, capsys):
     assert report["steps"] == 20
 
 
+@pytest.mark.parametrize("n, potential, build", [
+    (128, "harmonic:1.0", lambda g: dyn.harmonic_potential(g, 1.0)),
+    (256, "barrier:1.0,1.0,3.0",
+     lambda g: dyn.gaussian_barrier(g, 1.0, 1.0, 3.0))],
+    ids=["harmonic-128", "barrier-256"])
+def test_evolve_pbar_rows_are_the_snapshot_local_values(tmp_path, capsys, n,
+                                                        potential, build):
+    """Each _pbar.csv row is the S local value of p of its snapshot, with
+    its mask, at 17 digits."""
+    state = "gaussian(s=1.0,k0=1.0,q0=-1.0)"
+    base = tmp_path / "run"
+    code, _, _ = run(["evolve", "--grid-n", str(n), "--q-min", "-16",
+                      "--q-max", "16", "--state", state,
+                      "--potential", potential, "--dt", "0.001",
+                      "--steps", "20", "--stride", "2", "--mask-eps", "1e-9",
+                      "--out", str(base)], capsys)
+    assert code == 0
+    grid = lm.make_grid(n, -16.0, 16.0)
+    trace = dyn.split_step_propagate(
+        lm.synthesize(lm.parse_recipe(state), grid), build(grid),
+        dyn.PropagationConfig(0.001, 20, 2))
+    expected = []
+    for t, snap in zip(trace.times, trace.snapshots):
+        pbar = lm.local_value(snap, mm.momentum_power(1), "S", 1e-9).profile
+        expected += ["%s,%s,%s,%d" % (fmt(t), fmt(q), fmt(v), m)
+                     for q, v, m in zip(grid.q, pbar.values, pbar.mask)]
+    lines = (tmp_path / "run_pbar.csv").read_text().splitlines()
+    assert lines[4] == "t,q,value,mask"
+    assert lines[5:] == expected
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["--potential", "barrier:2.0,1.0,3.0"], 4,
      '{"error": {"code": 4, "kind": "self-check", "message": "Wigner moment '
-     'densities, deviation from their bilinear forms: 1.0115135520849527e-08 '
+     'densities, deviation from their bilinear forms: 1.011507068382489e-08 '
      'exceeds 1e-08"}}\n'),
     # the first snapshot passes; snapshot 45 of 101 is the first to fail
     (["--state", "gaussian(s=0.5,k0=0.0,q0=6.0)", "--steps", "1000",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import locmom as lm
-from locmom.core import RealProfile
+from locmom.core import RealProfile, spectral_multiply
 
 from conftest import make_state
 
@@ -170,6 +170,38 @@ def test_spatial_derivative_product_rule(grid512, gauss512):
     drho = lm.spatial_derivative(rho, grid512)
     direct = lm.spatial_derivative(rho * f, grid512)
     assert np.max(np.abs(direct - (drho * f + rho * df))) < 1e-6
+
+
+@pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048])
+def test_seam_rows_of_a_stack_equal_one_row_calls(n):
+    grid = lm.make_grid(n, -0.125 * n, 0.125 * n)
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    p = grid.p_wrapped
+    factors = (p, p ** 2, p ** 3, np.exp(-1e-3j * p ** 2))
+    whole = spectral_multiply(stack, *factors)
+    for r, row in enumerate(stack):
+        for got, alone in zip(whole, spectral_multiply(row, *factors)):
+            assert got[r].tobytes() == alone.tobytes()
+
+
+def test_momentum_power_is_the_seam_on_p_wrapped(any_state):
+    p = any_state.grid.p_wrapped
+    for k in range(1, 9):
+        (seam,) = spectral_multiply(any_state.amp, p ** k)
+        direct = lm.apply_momentum_power(any_state, k)
+        assert direct.tobytes() == seam.tobytes()
+
+
+def test_derivative_keeps_the_nyquist_mode_of_p(grid512):
+    """d/dq is (i/hbar) p on the grid of apply_momentum_power, whose
+    Nyquist mode sits at -pi hbar/dq, not at zero."""
+    nyquist = np.exp(-1j * np.pi / grid512.dq * grid512.q)
+    psi = lm.Wavefunction(grid512, nyquist)
+    p_psi = lm.apply_momentum_power(psi, 1)
+    assert np.max(np.abs(p_psi + np.pi / grid512.dq * nyquist)) < 1e-10
+    dpsi = lm.spatial_derivative(nyquist, grid512)
+    assert np.max(np.abs(dpsi - 1j / grid512.hbar * p_psi)) < 1e-10
 
 
 def test_normalize_rejects_nonfinite(grid512):

@@ -10,7 +10,7 @@ from locmom import moments as mm
 from locmom.core import spatial_derivative
 from locmom.phasespace import ROW_BLOCK
 
-from conftest import GAUSS
+from conftest import GAUSS, density
 
 COHERENT = lm.Gaussian(s=1.0 / np.sqrt(2.0), k0=0.0, q0=1.0)
 
@@ -119,15 +119,15 @@ def test_unitarity_and_energy_conservation(grid, coherent):
 
 
 def test_continuity_residual_free(free_trace, free_trace_half):
-    r = dyn.continuity_residual(free_trace)
-    r_half = dyn.continuity_residual(free_trace_half)
+    r = dyn.hydrodynamic_residuals(free_trace)[0]
+    r_half = dyn.hydrodynamic_residuals(free_trace_half)[0]
     assert r < 1e-5
     assert 3.0 < r / r_half < 5.0
 
 
 def test_continuity_residual_harmonic(harmonic_trace, harmonic_trace_half):
-    r = dyn.continuity_residual(harmonic_trace)
-    r_half = dyn.continuity_residual(harmonic_trace_half)
+    r = dyn.hydrodynamic_residuals(harmonic_trace)[0]
+    r_half = dyn.hydrodynamic_residuals(harmonic_trace_half)[0]
     assert r < 1e-5
     assert 3.0 < r / r_half < 5.0
 
@@ -137,15 +137,16 @@ def test_continuity_residual_plane_wave(grid):
     psi = lm.synthesize(lm.PlaneWave(k=k), grid)
     trace = dyn.split_step_propagate(psi, dyn.free_potential(grid),
                                      dyn.PropagationConfig(1e-3, 10, 1))
-    assert dyn.continuity_residual(trace) < 1e-10
-    assert dyn.euler_residual_W(trace) < 1e-10
+    continuity, euler = dyn.hydrodynamic_residuals(trace)[:2]
+    assert continuity < 1e-10
+    assert euler < 1e-10
 
 
 def test_continuity_residual_needs_three_snapshots(grid, free_gauss):
     trace = dyn.split_step_propagate(free_gauss, dyn.free_potential(grid),
                                      dyn.PropagationConfig(1e-3, 10, 10))
     with pytest.raises(lm.PreconditionError, match="3 snapshots"):
-        dyn.continuity_residual(trace)
+        dyn.hydrodynamic_residuals(trace)
 
 
 @pytest.mark.parametrize("times, message", [
@@ -184,7 +185,7 @@ def test_continuity_definition_independent(free_trace):
         return worst
 
     def via_S(s):
-        return lm.local_density_S(s, mm.momentum_power(1)).values
+        return density(s, mm.momentum_power(1))
 
     def via_MH(s):
         F = lm.margenau_hill_transform(s)
@@ -199,18 +200,22 @@ def test_continuity_definition_independent(free_trace):
     assert abs(residual_from(via_W) - base) < 1e-9
 
 
+def _euler(trace):
+    return dyn.hydrodynamic_residuals(trace)[1]
+
+
 def test_euler_residual_free(free_trace, free_trace_half):
-    r = dyn.euler_residual_W(free_trace)
+    r = _euler(free_trace)
     assert r < 1e-4
     # near the roundoff floor the shrink factor degrades below the clean
     # factor 4 seen on the 2e-3 -> 1e-3 pair; it must still shrink
-    assert r / dyn.euler_residual_W(free_trace_half) > 1.8
+    assert r / _euler(free_trace_half) > 1.8
 
 
 def test_euler_residual_harmonic(harmonic_trace, harmonic_trace_half):
-    r = dyn.euler_residual_W(harmonic_trace)
+    r = _euler(harmonic_trace)
     assert r < 1e-4
-    assert r / dyn.euler_residual_W(harmonic_trace_half) > 1.8
+    assert r / _euler(harmonic_trace_half) > 1.8
 
 
 def test_euler_residual_ratio_clean_above_noise(grid, free_gauss, coherent,
@@ -220,12 +225,12 @@ def test_euler_residual_ratio_clean_above_noise(grid, free_gauss, coherent,
     V = dyn.free_potential(grid)
     coarse = dyn.split_step_propagate(free_gauss, V,
                                       dyn.PropagationConfig(2e-3, 50, 1))
-    ratio = dyn.euler_residual_W(coarse) / dyn.euler_residual_W(free_trace)
+    ratio = _euler(coarse) / _euler(free_trace)
     assert 3.0 < ratio < 5.0
     Vh = dyn.harmonic_potential(grid, 1.0)
     coarse = dyn.split_step_propagate(coherent, Vh,
                                       dyn.PropagationConfig(2e-3, 50, 1))
-    ratio = dyn.euler_residual_W(coarse) / dyn.euler_residual_W(harmonic_trace)
+    ratio = _euler(coarse) / _euler(harmonic_trace)
     assert 3.0 < ratio < 5.0
 
 
@@ -323,7 +328,7 @@ def test_residuals_equal_the_per_snapshot_reference(residual_traces, n, kind):
     counts = sorted({3, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1} - {1, 2})
     for count in counts:
         head = _head(trace, count)
-        assert (dyn.hydrodynamic_residuals(head)
+        assert (dyn.hydrodynamic_residuals(head)[:2]
                 == dense_oracle.hydrodynamic_residuals(head)), count
 
 
@@ -347,14 +352,14 @@ def _replaced(trace, index, amp):
 def test_residual_errors_come_in_time_order(failing_barrier_trace):
     trace = failing_barrier_trace
     with pytest.raises(lm.SelfCheckError,
-                       match=": 1.0115135520849527e-08 ") as chunked:
+                       match=": 1.011507068382489e-08 ") as chunked:
         dyn.hydrodynamic_residuals(trace)
     with pytest.raises(lm.SelfCheckError) as reference:
         dense_oracle.hydrodynamic_residuals(trace)
     assert str(reference.value) == str(chunked.value)
     # an unnormalized snapshot after the first failing one changes nothing
     later = _replaced(trace, 99, 2.0 * trace.snapshots[99].amp)
-    with pytest.raises(lm.SelfCheckError, match=": 1.0115135520849527e-08 "):
+    with pytest.raises(lm.SelfCheckError, match=": 1.011507068382489e-08 "):
         dyn.hydrodynamic_residuals(later)
     # normalization is the first check of a snapshot
     same = _replaced(trace, 98, 2.0 * trace.snapshots[98].amp)

@@ -71,6 +71,24 @@ def test_no_scipy_import():
     assert found == []
 
 
+def test_fft_round_trips_go_through_the_core_seam():
+    """Only core calls np.fft.fft, ifft and fftfreq, and fftfreq only once,
+    for GridSpec.p_wrapped: every other module multiplies a spectrum
+    through core.spectral_multiply on that one momentum grid.  phasespace
+    keeps its rfft/irfft row routes."""
+    seam = {"np.fft.fft", "np.fft.ifft", "np.fft.fftfreq"}
+    found, fftfreq = [], 0
+    for name, tree in _trees():
+        calls = [ast.unparse(node.func) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)]
+        if name == "core.py":
+            fftfreq = calls.count("np.fft.fftfreq")
+        else:
+            found += ["%s calls %s" % (name, c) for c in calls if c in seam]
+    assert found == []
+    assert fftfreq == 1
+
+
 def test_threshold_messages_come_from_errors_only():
     """Every measured-value-versus-threshold message is built by
     errors.check, so no other module spells out "exceeds" or "tolerance"

@@ -8,7 +8,7 @@ import locmom as lm
 from locmom import moments as mm
 
 import dense_oracle as dense
-from conftest import GAUSS, make_state
+from conftest import GAUSS, density, make_state
 
 RHO0 = 1.0 / np.sqrt(2.0 * np.pi)  # Gaussian peak density for s=1
 
@@ -16,33 +16,33 @@ RHO0 = 1.0 / np.sqrt(2.0 * np.pi)  # Gaussian peak density for s=1
 def test_local_density_plane_wave(grid512):
     psi = make_state("plane_wave", grid512)
     k = 2.0 * np.pi * 4.0 / 40.0
-    dens = lm.local_density_S(psi, mm.momentum_power(1))
-    assert np.max(np.abs(dens.values - k / 40.0)) < 1e-12
+    dens = density(psi, mm.momentum_power(1))
+    assert np.max(np.abs(dens - k / 40.0)) < 1e-12
 
 
 def test_local_density_real_state_vanishes(grid512):
     psi = lm.synthesize(lm.Gaussian(s=1.0, k0=0.0, q0=0.0), grid512)
-    dens = lm.local_density_S(psi, mm.momentum_power(1))
-    assert np.max(np.abs(dens.values)) < 1e-12
+    dens = density(psi, mm.momentum_power(1))
+    assert np.max(np.abs(dens)) < 1e-12
 
 
 def test_local_density_integrates_to_p2(gauss512):
-    dens = lm.local_density_S(gauss512, mm.momentum_power(2))
-    assert lm.integrate(dens) == pytest.approx(4.25, abs=1e-8)
+    dens = density(gauss512, mm.momentum_power(2))
+    assert np.sum(dens) * gauss512.grid.dq == pytest.approx(4.25, abs=1e-8)
 
 
 def test_local_value_S_gaussian_and_plane(grid512, gauss512):
-    prof = lm.local_value_S(gauss512, mm.momentum_power(1))
+    prof = lm.local_value(gauss512, mm.momentum_power(1), "S")
     m = prof.profile.mask
     assert np.max(np.abs(prof.profile.values[m] - 2.0)) < 1e-8
     psi = make_state("plane_wave", grid512)
     k = 2.0 * np.pi * 4.0 / 40.0
-    prof = lm.local_value_S(psi, mm.momentum_power(1))
+    prof = lm.local_value(psi, mm.momentum_power(1), "S")
     assert np.max(np.abs(prof.profile.values - k)) < 1e-10
 
 
 def test_local_value_matches_direct_ratio(gauss512):
-    prof = lm.local_value_S(gauss512, mm.momentum_power(1))
+    prof = lm.local_value(gauss512, mm.momentum_power(1), "S")
     m = prof.profile.mask
     direct = np.real(lm.apply_momentum_power(gauss512, 1)[m] / gauss512.amp[m])
     assert np.max(np.abs(prof.profile.values[m] - direct)) < 1e-10
@@ -50,7 +50,7 @@ def test_local_value_matches_direct_ratio(gauss512):
 
 def test_diagonal_observable_local_value_is_g(grid512, gauss512):
     g_vals = np.tanh(grid512.q)
-    prof = lm.local_value_S(gauss512, mm.position_function(g_vals))
+    prof = lm.local_value(gauss512, mm.position_function(g_vals), "S")
     m = prof.profile.mask
     assert np.max(np.abs(prof.profile.values[m] - g_vals[m])) < 1e-10
 
@@ -78,14 +78,14 @@ def test_local_variance_C_two_routes_agree(any_state):
     A = mm.momentum_power(1)
     prof = lm.local_variance_C(any_state, A)
     m = prof.profile.mask
-    sandwich = lm.sandwich_density(any_state, A).values
-    value = lm.local_value_S(any_state, A).profile.values
+    sandwich = density(any_state, A, "C", 2)
+    value = lm.local_value(any_state, A, "S").profile.values
     other = sandwich[m] / any_state.rho()[m] - value[m] ** 2
     assert np.max(np.abs(prof.profile.values[m] - other)) < 1e-9
 
 
 def test_local_second_moment_spot_value(grid16, gauss16):
-    prof = lm.local_second_moment_S(gauss16, mm.momentum_power(1))
+    prof = lm.local_value(gauss16, mm.momentum_power(2), "S")
     i0 = np.argmin(np.abs(grid16.q))
     assert prof.profile.values[i0] == pytest.approx(4.5, abs=1e-8)
 
@@ -93,7 +93,7 @@ def test_local_second_moment_spot_value(grid16, gauss16):
 def test_local_second_moment_plane_wave(grid512):
     psi = make_state("plane_wave", grid512)
     k = 2.0 * np.pi * 4.0 / 40.0
-    prof = lm.local_second_moment_S(psi, mm.momentum_power(1))
+    prof = lm.local_value(psi, mm.momentum_power(2), "S")
     assert np.max(np.abs(prof.profile.values - k ** 2)) < 1e-10
 
 
@@ -120,7 +120,7 @@ def test_local_variance_S_negative_region(gauss512):
 def test_square_action_required(gauss512):
     A = lm.linear_action(lambda psi: psi.grid.q * psi.amp)
     with pytest.raises(lm.PreconditionError, match="square action required"):
-        lm.local_second_moment_S(gauss512, A)
+        lm.moment_densities(gauss512, A, "S", orders=(2,))
 
 
 def test_linear_action_with_square_matches_position_function(gauss512):
@@ -136,20 +136,21 @@ def test_linear_action_with_square_matches_position_function(gauss512):
 def test_sandwich_density_plane_wave(grid512):
     psi = make_state("plane_wave", grid512)
     k = 2.0 * np.pi * 4.0 / 40.0
-    dens = lm.sandwich_density(psi, mm.momentum_power(1))
-    assert np.max(np.abs(dens.values - k ** 2 / 40.0)) < 1e-10
+    dens = density(psi, mm.momentum_power(1), "C", 2)
+    assert np.max(np.abs(dens - k ** 2 / 40.0)) < 1e-10
 
 
 def test_sandwich_density_gaussian_spot(grid16, gauss16):
-    dens = lm.sandwich_density(gauss16, mm.momentum_power(1))
+    dens = density(gauss16, mm.momentum_power(1), "C", 2)
     i0 = np.argmin(np.abs(grid16.q))
-    assert dens.values[i0] == pytest.approx(4.0 * RHO0, abs=1e-8)
+    assert dens[i0] == pytest.approx(4.0 * RHO0, abs=1e-8)
 
 
 def test_both_square_densities_share_integral(any_state):
     A = mm.momentum_power(1)
-    sandwich = lm.integrate(lm.sandwich_density(any_state, A))
-    sym = lm.integrate(lm.local_density_S(any_state, mm.momentum_power(2)))
+    dq = any_state.grid.dq
+    sandwich = float(np.sum(density(any_state, A, "C", 2)) * dq)
+    sym = float(np.sum(density(any_state, mm.momentum_power(2))) * dq)
     direct = lm.global_average(any_state, mm.momentum_power(2))
     assert sandwich == pytest.approx(direct, abs=1e-9)
     assert sym == pytest.approx(direct, abs=1e-9)
@@ -180,13 +181,14 @@ def test_global_average_examples(grid512, gauss512):
 def test_density_integral_equals_global_average(any_state):
     for A in (mm.momentum_power(1), mm.momentum_power(2),
               mm.position_function(np.tanh(any_state.grid.q))):
-        assert lm.integrate(lm.local_density_S(any_state, A)) == pytest.approx(
-            lm.global_average(any_state, A), abs=1e-9)
+        integral = float(np.sum(density(any_state, A)) * any_state.grid.dq)
+        assert integral == pytest.approx(lm.global_average(any_state, A),
+                                         abs=1e-9)
 
 
 def test_c_and_s_local_values_coincide(any_state):
     A = mm.momentum_power(1)
-    s_val = lm.local_value_S(any_state, A)
+    s_val = lm.local_value(any_state, A, "S")
     m = s_val.profile.mask
     c_val = np.real(A.apply(any_state)[m] / any_state.amp[m])
     assert np.max(np.abs(s_val.profile.values[m] - c_val)) < 1e-10
@@ -349,20 +351,20 @@ def test_dense_matrix_equivalence(grid32, state32):
     A = mm.momentum_power(1)
     m = psi.mask()
 
-    spectral = lm.local_density_S(psi, A).values
+    spectral = density(psi, A)
     assert np.max(np.abs(spectral - dense.density_S(grid32, psi.amp, P))) < 1e-6
 
-    spectral = lm.local_density_S(psi, mm.momentum_power(2)).values
+    spectral = density(psi, mm.momentum_power(2))
     assert np.max(np.abs(spectral - dense.density_S(grid32, psi.amp, P @ P))) < 1e-6
 
-    spectral = lm.sandwich_density(psi, A).values
+    spectral = density(psi, A, "C", 2)
     assert np.max(np.abs(spectral - dense.sandwich(grid32, psi.amp, P))) < 1e-6
 
-    spectral = lm.local_value_S(psi, A).profile.values
+    spectral = lm.local_value(psi, A, "S").profile.values
     ref = dense.local_value_S(grid32, psi.amp, P)
     assert np.max(np.abs(spectral[m] - ref[m])) < 1e-6
 
-    spectral = lm.local_second_moment_S(psi, A).profile.values
+    spectral = lm.local_value(psi, mm.momentum_power(2), "S").profile.values
     ref = dense.local_second_moment_S(grid32, psi.amp, P)
     assert np.max(np.abs(spectral[m] - ref[m])) < 1e-6
 
@@ -380,7 +382,7 @@ def test_dense_matrix_equivalence_position_observable(grid32):
     g_vals = np.tanh(grid32.q)
     G = dense.position_matrix(grid32, g_vals)
     A = mm.position_function(g_vals)
-    spectral = lm.local_density_S(psi, A).values
+    spectral = density(psi, A)
     assert np.max(np.abs(spectral - dense.density_S(grid32, psi.amp, G))) < 1e-6
-    spectral = lm.sandwich_density(psi, A).values
+    spectral = density(psi, A, "C", 2)
     assert np.max(np.abs(spectral - dense.sandwich(grid32, psi.amp, G))) < 1e-6

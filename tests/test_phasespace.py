@@ -11,10 +11,10 @@ from locmom import moments as mm
 from locmom import phasespace as ps
 from locmom.core import spatial_derivative
 
-from conftest import CORPUS, GAUSS, TWO_GAUSS, make_state
+from conftest import CORPUS, GAUSS, TWO_GAUSS, density, make_state
 from dense_oracle import (conditional_direct, conditional_full,
                           margenau_hill_direct, margenau_hill_full,
-                          wigner_direct, wigner_full)
+                          momentum_amplitudes_at, wigner_direct, wigner_full)
 
 PLANE_K = 2.0 * np.pi * 4.0 / 40.0
 
@@ -62,7 +62,7 @@ def test_wigner_oscillator_negative_at_origin(grid512):
 def test_wigner_marginals(localized_state):
     W = lm.wigner_transform(localized_state)
     assert np.max(np.abs(W.q_marginal() - localized_state.rho())) < 1e-8
-    phi = lm.momentum_amplitudes_at(localized_state, W.pgrid)
+    phi = momentum_amplitudes_at(localized_state, W.pgrid)
     assert np.max(np.abs(W.p_marginal() - np.abs(phi) ** 2)) < 1e-8
 
 
@@ -282,7 +282,7 @@ def test_mh_moments_match_S_operator_route(any_state):
     M = lm.margenau_hill_transform(any_state)
     for order in (1, 2):
         ps = lm.phase_space_local_moment(M, any_state, order)
-        op = lm.local_value_S(any_state, mm.momentum_power(order))
+        op = lm.local_value(any_state, mm.momentum_power(order), "S")
         m = ps.profile.mask
         assert np.max(np.abs(ps.profile.values[m] - op.profile.values[m])) < 1e-7
 
@@ -292,7 +292,7 @@ def test_first_moment_same_for_all_definitions(any_state):
     M = lm.margenau_hill_transform(any_state)
     pw = lm.phase_space_local_moment(W, any_state, 1).profile
     pm = lm.phase_space_local_moment(M, any_state, 1).profile
-    ps = lm.local_value_S(any_state, mm.momentum_power(1)).profile
+    ps = lm.local_value(any_state, mm.momentum_power(1), "S").profile
     m = pw.mask
     assert np.max(np.abs(pw.values[m] - ps.values[m])) < 1e-7
     assert np.max(np.abs(pm.values[m] - ps.values[m])) < 1e-7
@@ -301,8 +301,8 @@ def test_first_moment_same_for_all_definitions(any_state):
 def test_wigner_second_moment_is_mean_of_mh_and_sandwich(any_state):
     W = lm.wigner_transform(any_state)
     m2w = lm.phase_space_local_moment(W, any_state, 2).profile
-    m2s = lm.local_second_moment_S(any_state, mm.momentum_power(1)).profile
-    sandwich = lm.sandwich_density(any_state, mm.momentum_power(1)).values
+    m2s = lm.local_value(any_state, mm.momentum_power(2), "S").profile
+    sandwich = density(any_state, mm.momentum_power(1), "C", 2)
     m = m2w.mask
     mean = 0.5 * (m2s.values[m] + sandwich[m] / any_state.rho()[m])
     assert np.max(np.abs(m2w.values[m] - mean)) < 1e-7
@@ -363,7 +363,7 @@ def test_characteristic_function_taylor_series(gauss512):
     factorial = 1.0
     for order in range(1, 5):
         factorial *= order
-        mom = lm.local_value_S(gauss512, mm.momentum_power(order))
+        mom = lm.local_value(gauss512, mm.momentum_power(order), "S")
         partial += (1j * tau) ** order / factorial * mom.profile.values
     # |R4| <= max |G^(5)| * tau^5 / 5!, fifth derivative sampled at the
     # interval ends with a factor-2 guard for the interior
