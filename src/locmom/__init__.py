@@ -17,8 +17,7 @@ from .moments import (LocalProfile, ObservableSpec, VarianceDecomposition,
                       phase_space_local_moment, phase_space_local_variance,
                       position_function, variance_decomposition,
                       variance_difference_term)
-from .phasespace import (CharacteristicSlice, QuasiDistribution,
-                         bayes_product, characteristic_function_S,
+from .phasespace import (QuasiDistribution, bayes_product,
                          conditional_momentum_S, margenau_hill_transform,
                          wigner_moment_densities, wigner_moment_density_stack,
                          wigner_transform)

@@ -7,6 +7,10 @@ on the same (q, p) lattice as the Wigner transform so that the Gaussian
 bridge comparison is a pointwise array comparison.  All classical local
 variances are nonnegative, which is the structural contrast with the
 quantum definitions.
+
+classical_local_moment is the general n x n route for any a(q, p).  The
+bridge reads a = p off the lattice as the quantum side does
+(QuasiDistribution.moment_densities), with no n x n temporary.
 """
 
 from __future__ import annotations
@@ -82,20 +86,19 @@ def gaussian_density(grid: GridSpec, mean_q: float, mean_p: float,
 
 
 def momentum_variable(F: QuasiDistribution) -> ClassicalObservable:
-    """a(q, p) = p on the lattice of F."""
-    return ClassicalObservable(np.broadcast_to(
-        F.pgrid[None, :], F.values.shape).copy())
+    """a(q, p) = p on the lattice of F, a read-only broadcast of pgrid."""
+    return ClassicalObservable(np.broadcast_to(F.pgrid[None, :],
+                                               F.values.shape))
 
 
 def position_variable(F: QuasiDistribution, g: np.ndarray) -> ClassicalObservable:
-    """a(q, p) = g(q), p-independent."""
-    g = np.asarray(g, dtype=float)
+    """a(q, p) = g(q), p-independent, a read-only broadcast of g."""
     return ClassicalObservable(np.broadcast_to(
-        g[:, None], F.values.shape).copy())
+        np.asarray(g, dtype=float)[:, None], F.values.shape))
 
 
-def _position_mask(F: QuasiDistribution, eps_factor: float) -> np.ndarray:
-    P = F.q_marginal()
+def _position_mask(P: np.ndarray, eps_factor: float) -> np.ndarray:
+    """Where the position marginal P reaches eps_factor of its maximum."""
     mask = P >= eps_factor * P.max()
     if not mask.any():
         raise PreconditionError("classical density has empty support")
@@ -110,7 +113,7 @@ def classical_local_moment(F: QuasiDistribution, a: ClassicalObservable,
         raise PreconditionError("moment order must be in 1..4, got %d" % order)
     _check_density(F)
     P = F.q_marginal()
-    mask = _position_mask(F, eps_factor)
+    mask = _position_mask(P, eps_factor)
     density = (a.values ** order * F.values).sum(axis=1) * F.dp
     return RealProfile(F.grid, quotient_on(mask, density, P), mask)
 
@@ -172,8 +175,9 @@ def observable_distribution(F: QuasiDistribution, a: ClassicalObservable,
                         bin_count * n).reshape(bin_count, n)
 
     marginal = joint.sum(axis=1) * F.grid.dq
-    mask = _position_mask(F, eps_factor)
-    conditional = quotient_on(mask[None, :], joint, F.q_marginal()[None, :])
+    P = F.q_marginal()
+    mask = _position_mask(P, eps_factor)
+    conditional = quotient_on(mask[None, :], joint, P[None, :])
     return ObservableDistribution(edges=edges, centers=centers, da=da,
                                   joint=joint, marginal=marginal,
                                   conditional=conditional, mask=mask)
@@ -231,9 +235,10 @@ def wigner_as_classical(recipe: StateRecipe, grid: GridSpec,
     W = wigner_transform(synthesize(recipe, grid) if psi is None else psi)
     check("Wigner of a gaussian, depth of its lowest cell below zero",
           -W.values.min(), WIGNER_CLIP_TOL, PreconditionError)
-    values = np.clip(W.values, 0.0, None)
-    values = values / (values.sum() * grid.dq * W.dp)
-    return replace(W, kind="classical", values=values)
+    # the transform is fresh and ours: clip and renormalize it in place
+    values = np.clip(W.values, 0.0, None, out=W.values)
+    values /= values.sum() * grid.dq * W.dp
+    return replace(W, kind="classical")
 
 
 def classical_pipeline_profiles(F: QuasiDistribution,
@@ -241,10 +246,14 @@ def classical_pipeline_profiles(F: QuasiDistribution,
                                 eps_factor: float = DEFAULT_MASK_EPS
                                 ) -> tuple[RealProfile, RealProfile]:
     """Classical conditional mean and variance of p for the bridge check,
-    masked by the quantum state's rho threshold."""
-    a = momentum_variable(F)
-    m1 = classical_local_moment(F, a, 1, eps_factor)
-    var = variance_profile(m1, classical_local_moment(F, a, 2, eps_factor))
-    mask = psi.mask(eps_factor) & m1.mask
+    masked by the quantum state's rho threshold; the densities of p and
+    p^2 come from one pass over the lattice (F.moment_densities)."""
+    _check_density(F)
+    P = F.q_marginal()
+    support = _position_mask(P, eps_factor)
+    m1, m2 = (RealProfile(F.grid, quotient_on(support, density, P), support)
+              for density in F.moment_densities((1, 2)))
+    var = variance_profile(m1, m2)
+    mask = psi.mask(eps_factor) & support
     return (RealProfile(F.grid, m1.values, mask),
             RealProfile(F.grid, var.values, mask))

@@ -185,6 +185,21 @@ def local_variance(psi: Wavefunction, A: ObservableSpec, definition: str,
         masked_quotient(psi, second, eps_factor)))
 
 
+def _phase_space_moments(F: QuasiDistribution, psi: Wavefunction,
+                         orders: tuple[int, ...],
+                         eps_factor: float) -> list[RealProfile]:
+    """The local momentum moments (sum_k p_k^order F dp) / rho on the mask,
+    one per order, from one pass over the transform's lattice."""
+    if F.grid != psi.grid:
+        raise PreconditionError("distribution and state use different grids")
+    if F.kind not in _KIND_TO_DEFINITION:
+        raise PreconditionError(
+            "phase-space local moments need a weyl_wigner or margenau_hill "
+            "distribution, got kind %r" % F.kind)
+    return [masked_quotient(psi, density, eps_factor)
+            for density in F.moment_densities(orders)]
+
+
 def phase_space_local_moment(F: QuasiDistribution, psi: Wavefunction,
                              order: int,
                              eps_factor: float = DEFAULT_MASK_EPS
@@ -192,29 +207,21 @@ def phase_space_local_moment(F: QuasiDistribution, psi: Wavefunction,
     """n-th local momentum moment (sum_k p_k^n F dp) / rho on the mask,
     taken from a given transform (the oracle route to the MH and W local
     moments)."""
-    if F.grid != psi.grid:
-        raise PreconditionError("distribution and state use different grids")
     if not 1 <= order <= MOMENT_ORDER_CAP:
         raise PreconditionError("moment order must be in 1..%d, got %d"
                                 % (MOMENT_ORDER_CAP, order))
-    if F.kind not in _KIND_TO_DEFINITION:
-        raise PreconditionError(
-            "phase-space local moments need a weyl_wigner or margenau_hill "
-            "distribution, got kind %r" % F.kind)
-    return LocalProfile(_KIND_TO_DEFINITION[F.kind], order,
-                        masked_quotient(psi, F.moment_density(order),
-                                        eps_factor))
+    (profile,) = _phase_space_moments(F, psi, (order,), eps_factor)
+    return LocalProfile(_KIND_TO_DEFINITION[F.kind], order, profile)
 
 
 def phase_space_local_variance(F: QuasiDistribution, psi: Wavefunction,
                                eps_factor: float = DEFAULT_MASK_EPS
                                ) -> LocalProfile:
-    """Second local moment minus squared first from a given transform; may
-    be negative."""
-    m1 = phase_space_local_moment(F, psi, 1, eps_factor)
-    m2 = phase_space_local_moment(F, psi, 2, eps_factor)
-    return LocalProfile(m1.definition, "variance",
-                        variance_profile(m1.profile, m2.profile))
+    """Second local moment minus squared first from a given transform,
+    both read off its lattice in one pass; may be negative."""
+    m1, m2 = _phase_space_moments(F, psi, (1, 2), eps_factor)
+    return LocalProfile(_KIND_TO_DEFINITION[F.kind], "variance",
+                        variance_profile(m1, m2))
 
 
 def local_variance_C(psi: Wavefunction, A: ObservableSpec,

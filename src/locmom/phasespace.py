@@ -11,7 +11,10 @@ of a trace a chunk at a time; one state is its one-row case.  The n x n
 transforms are the independent phase-space route and the ``distribution``
 output: the Wigner transform's moment densities are the oracle for that
 kernel, and the Margenau-Hill transform the one that the closed-form MH
-densities and the Bayes product are checked against.  This module builds
+densities and the Bayes product are checked against.  The moment
+densities of any lattice (W, MH or classical) come from one product of
+its values with the columns pgrid^order (QuasiDistribution.
+moment_densities).  This module builds
 on ``core`` only; the local moments and variances built from these
 densities live in ``moments``.
 
@@ -58,6 +61,9 @@ fill one preallocated float n x n result N2_ROW_BLOCK q rows at a time
   - pi j, so the Margenau-Hill phase factors into a row sign, a column
   phase and omega^(j k mod n), read from a 1D table of omega = e^{2 pi i/n}
   (_margenau_hill_blocks) instead of n^2 complex exponentials.
+* One reciprocal per row.  The conditional multiplies a row's shifts by
+  1/(2 psi(q)) and zero-fills the rows too small for every cell to stay
+  finite (conditional_momentum_S).
 * Bayes check.  bayes_product compares rho * P_S with the Margenau-Hill
   rows block by block, reducing with NaN-propagating maxima, and checks
   the largest deviation once; the two pipelines share no step.
@@ -75,9 +81,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (DEFAULT_MASK_EPS, NORM_CHECK, NORM_TOL, GridSpec,
-                   Wavefunction, momentum_representation, quotient_on,
-                   require_normalized)
+from .core import (NORM_CHECK, NORM_TOL, GridSpec, Wavefunction,
+                   momentum_representation, quotient_on, require_normalized)
 from .errors import PreconditionError, SelfCheckError, check, failure
 
 WIGNER_EDGE_TOL = 1e-10
@@ -134,20 +139,14 @@ class QuasiDistribution:
         i, k = divmod(flat, self.values.shape[1])
         return float(self.values[i, k]), float(self.grid.q[i]), float(self.pgrid[k])
 
-    def moment_density(self, order: int) -> np.ndarray:
-        """sum_k pgrid_k^order values[i, k] dp: the density in q of the
-        order-th momentum moment (p^order is the symbol of p_hat^order for
-        both kernels)."""
-        return (self.values @ (self.pgrid ** order)) * self.dp
-
-
-@dataclass(frozen=True)
-class CharacteristicSlice:
-    """Local characteristic function G(tau, q) on the grid; identically 1 at
-    tau = 0 on masked-in points (masked-out entries are zero-filled)."""
-
-    tau: float
-    values: np.ndarray
+    def moment_densities(self, orders: tuple[int, ...]
+                         ) -> tuple[np.ndarray, ...]:
+        """sum_k pgrid_k^order values[i, k] dp per order: the densities in
+        q of the momentum moments (p^order is the symbol of p_hat^order
+        for both kernels, and the variable itself for a classical
+        density), from one pass over the lattice."""
+        powers = self.pgrid[:, None] ** np.asarray(orders)
+        return tuple((self.values @ powers * self.dp).T)
 
 
 def _require_memory_budget(grid: GridSpec, bytes_per_cell: int,
@@ -375,43 +374,28 @@ def margenau_hill_transform(psi: Wavefunction) -> QuasiDistribution:
                              dp=g.dp, values=values)
 
 
-def _shift_steps(grid: GridSpec, tau: float) -> int:
-    steps = grid.hbar * tau / grid.dq
-    check("off-grid shift, distance of hbar*tau/dq = %r from an integer"
-          % float(steps), abs(steps - np.rint(steps)), 1e-9,
-          PreconditionError, hint="hbar*tau must be an integer multiple of dq")
-    return int(round(steps))
-
-
-def characteristic_function_S(psi: Wavefunction, tau: float,
-                              eps_factor: float = DEFAULT_MASK_EPS
-                              ) -> CharacteristicSlice:
-    """G(tau, q) = psi(q + hbar*tau)/(2 psi(q)) + conj(psi(q - hbar*tau))
-    / (2 conj(psi(q))), evaluated by periodic grid shifting.
-
-    Its Taylor coefficients in (i*tau) are the S local momentum moments.
-    """
-    require_normalized(psi)
-    j = _shift_steps(psi.grid, tau)
-    mask = psi.mask(eps_factor)
-    amp, conj = psi.amp, np.conj(psi.amp)
-    values = (quotient_on(mask, np.roll(amp, -j), 2.0 * amp)
-              + quotient_on(mask, np.roll(conj, j), 2.0 * conj))
-    return CharacteristicSlice(tau=float(tau), values=values)
-
-
 def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
     """P_S(p|q): discrete inversion of the characteristic function over the
     on-grid tau lattice, rows q, columns ascending standard p.
 
-    Rows are computed wherever psi(q) is nonzero (the Bayes-product
-    identity needs them well below the rho mask); rows at exact nodes are
-    zero-filled, matching the exactly-zero Margenau-Hill rows there.  Row
-    sums satisfy sum_k P(p_k|q) dp = 1 exactly on every computed row
-    (G(0, q) = 1 by construction).
+    Rows are computed wherever |psi(q)| is at least the live-row bound
+    below (the Bayes-product identity needs them well below the rho mask);
+    the rows under it, exact nodes among them, are zero-filled, matching
+    the Margenau-Hill rows there, whose cells are at most
+    |psi(q)| max|phi| / sqrt(2 pi hbar).  Row sums satisfy
+    sum_k P(p_k|q) dp = 1 (G(0, q) = 1 by construction) up to roundoff
+    relative to the row's largest cell, which grows like 1/|psi(q)|.
 
     G(-s, q) = conj(G(s, q)), so the shifts s = -n/2..0 of the
-    periodically padded amplitude carry every row (_hermitian_rows).
+    periodically padded amplitude carry every row (_hermitian_rows).  Each
+    live row takes one reciprocal r = 1/(2 psi(q)) and multiplies by it.
+
+    Live-row bound.  With A = max|psi|, c = dq/(2 pi hbar) and M the
+    largest float, a row is live if |psi(q)| >= 2 n max(1, c) max(1, A)/M.
+    Then |r| <= M/(4n), each term |psi(q -+ s) r| <= M/(4n), the scaled
+    half-spectrum c |G| <= M/(2n), and the row's irfft sum, at most n
+    times that, stays below M/2: no cell overflows, so none is inf or
+    nan.
     """
     require_normalized(psi)
     g = psi.grid
@@ -419,8 +403,12 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
                            "conditional momentum distribution")
     n, half = g.n, g.n // 2
     amp = psi.amp
-    live = amp != 0
-    den = np.where(live, 2.0 * amp, 1.0)[:, None]  # dead rows zeroed below
+    scale = g.dq / (2.0 * np.pi * g.hbar)
+    modulus = np.abs(amp)
+    bound = (2.0 * n * max(1.0, scale) * max(1.0, float(modulus.max()))
+             / np.finfo(float).max)
+    live = modulus >= bound
+    reciprocal = quotient_on(live, 0.5, amp)[:, None]  # dead rows zeroed below
     windows = _windows(amp[None, :], np.ones(1, dtype=bool))[0]
 
     def blocks():
@@ -429,13 +417,13 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
         tail = np.empty_like(x)
         for _, q in _row_blocks(1, n, N2_ROW_BLOCK):
             h, t = x[:q.stop - q.start], tail[:q.stop - q.start]
-            np.divide(windows[q, :half + 1], den[q], out=t)
-            np.divide(windows[q, n:half - 1:-1], den[q], out=h)
+            np.multiply(windows[q, :half + 1], reciprocal[q], out=t)
+            np.multiply(windows[q, n:half - 1:-1], reciprocal[q], out=h)
             h += np.conjugate(t, out=t)
             yield q, h
 
     values = np.empty((n, n))
-    _hermitian_rows(blocks(), g.dq / (2.0 * np.pi * g.hbar), values)
+    _hermitian_rows(blocks(), scale, values)
     values[~live] = 0.0
     return values
 

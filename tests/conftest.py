@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,16 @@ def density(psi, A, definition="S", order=1):
     """The moment density of A^order under the definition."""
     (values,) = lm.moment_densities(psi, A, definition, orders=(order,))
     return values
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_state(name, grid):

@@ -14,6 +14,11 @@ or shift product at once, a full complex FFT per row and, for
 Margenau-Hill, the n x n phase e^{i q p/hbar}.  They are fast enough to
 check the blocked routes at sizes with partial row blocks.
 
+characteristic_function_S builds one slice G(tau, q) of the local
+characteristic function by periodic grid shifting, the single-tau form of
+the function that conditional_momentum_S inverts over the whole tau
+lattice.
+
 The hydrodynamic residuals are the exception: hydrodynamic_residuals
 recomputes them one snapshot at a time with the package's own
 apply_momentum_power and Wigner moment densities.  It is the reference for
@@ -21,10 +26,14 @@ the chunked dynamics.hydrodynamic_residuals, which must equal it bit for
 bit.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from locmom.core import apply_momentum_power, momentum_representation
-from locmom.errors import SelfCheckError, check
+from locmom.core import (DEFAULT_MASK_EPS, apply_momentum_power,
+                         momentum_representation, quotient_on,
+                         require_normalized)
+from locmom.errors import PreconditionError, SelfCheckError, check
 from locmom.moments import moment_densities, momentum_power
 
 
@@ -194,6 +203,40 @@ def conditional_full(grid, psi: np.ndarray) -> np.ndarray:
         + np.conj(minus[live]) / (2.0 * np.conj(psi[live, None])), axes=1)
     rows = np.fft.fft(G, axis=1).real * (grid.dq / (2.0 * np.pi * grid.hbar))
     return np.fft.fftshift(rows, axes=1)
+
+
+@dataclass(frozen=True)
+class CharacteristicSlice:
+    """Local characteristic function G(tau, q) on the grid; identically 1 at
+    tau = 0 on masked-in points (masked-out entries are zero-filled)."""
+
+    tau: float
+    values: np.ndarray
+
+
+def _shift_steps(grid, tau: float) -> int:
+    steps = grid.hbar * tau / grid.dq
+    check("off-grid shift, distance of hbar*tau/dq = %r from an integer"
+          % float(steps), abs(steps - np.rint(steps)), 1e-9,
+          PreconditionError, hint="hbar*tau must be an integer multiple of dq")
+    return int(round(steps))
+
+
+def characteristic_function_S(psi, tau: float,
+                              eps_factor: float = DEFAULT_MASK_EPS
+                              ) -> CharacteristicSlice:
+    """G(tau, q) = psi(q + hbar*tau)/(2 psi(q)) + conj(psi(q - hbar*tau))
+    / (2 conj(psi(q))), evaluated by periodic grid shifting.
+
+    Its Taylor coefficients in (i*tau) are the S local momentum moments.
+    """
+    require_normalized(psi)
+    j = _shift_steps(psi.grid, tau)
+    mask = psi.mask(eps_factor)
+    amp, conj = psi.amp, np.conj(psi.amp)
+    values = (quotient_on(mask, np.roll(amp, -j), 2.0 * amp)
+              + quotient_on(mask, np.roll(conj, j), 2.0 * conj))
+    return CharacteristicSlice(tau=float(tau), values=values)
 
 
 def amplitude_fields(psi):

@@ -3,8 +3,9 @@ import pytest
 
 import locmom as lm
 from locmom import classical as cl
+from locmom import phasespace as ps
 
-from conftest import GAUSS
+from conftest import GAUSS, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +184,68 @@ def test_wigner_bridge_global_second_moment(grid):
 def test_wigner_bridge_rejects_nongaussian(grid):
     with pytest.raises(lm.PreconditionError, match="Wigner not nonnegative"):
         cl.wigner_as_classical(lm.OscillatorEigenstate(level=1, omega=1.0), grid)
+
+
+# The bridge reads p and p^2 off the lattice; the n x n route of
+# classical_local_moment, with a(q, p) = p as an array, is its reference.
+BRIDGE_GRIDS = [(512, 20.0), (2048, 40.0)]
+
+
+@pytest.fixture(scope="module", params=BRIDGE_GRIDS,
+                ids=["n%d" % n for n, _ in BRIDGE_GRIDS])
+def bridge(request):
+    n, half = request.param
+    grid = lm.make_grid(n, -half, half)
+    psi = lm.synthesize(GAUSS, grid)
+    return psi, cl.wigner_as_classical(GAUSS, grid, psi)
+
+
+def test_bridge_profiles_equal_the_n_by_n_route(bridge):
+    psi, density = bridge
+    a = cl.momentum_variable(density)
+    m1 = cl.classical_local_moment(density, a, 1)
+    var = cl.classical_local_variance(density, a)
+    cls_m1, cls_var = cl.classical_pipeline_profiles(density, psi)
+    assert np.array_equal(cls_m1.mask, psi.mask() & m1.mask)
+    assert np.array_equal(cls_var.mask, cls_m1.mask)
+    assert np.max(np.abs(cls_m1.values - m1.values)) < 1e-12
+    assert np.max(np.abs(cls_var.values - var.values)) < 1e-12
+
+
+def test_wigner_as_classical_is_the_clipped_normalized_transform(bridge):
+    psi, density = bridge
+    W = lm.wigner_transform(psi)
+    clipped = np.clip(W.values, 0.0, None)
+    expected = clipped / (clipped.sum() * psi.grid.dq * W.dp)
+    assert np.array_equal(density.values, expected)
+    assert density.kind == "classical"
+
+
+def test_bridge_profiles_build_no_n_by_n_temporary(bridge):
+    psi, density = bridge
+    assert traced_peak(lambda: cl.classical_pipeline_profiles(density, psi)
+                       ) < 8 * psi.grid.n ** 2
+
+
+def test_wigner_as_classical_peaks_within_the_wigner_estimate(bridge):
+    """The clip and the renormalization reuse the transform's own array."""
+    psi, _ = bridge
+    assert traced_peak(lambda: cl.wigner_as_classical(GAUSS, psi.grid, psi)
+                       ) < psi.grid.n ** 2 * ps.WIGNER_BYTES_PER_CELL
+
+
+def test_observables_are_read_only_views(gauss_density, grid):
+    F = gauss_density
+    for a in (cl.momentum_variable(F),
+              cl.position_variable(F, np.tanh(grid.q))):
+        assert not a.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.values[0, 0] = 1.0
+        copied = cl.ClassicalObservable(a.values.copy())
+        view_hist = cl.observable_distribution(F, a, 64)
+        copy_hist = cl.observable_distribution(F, copied, 64)
+        for field in ("edges", "joint", "marginal", "conditional", "mask"):
+            assert np.array_equal(getattr(view_hist, field),
+                                  getattr(copy_hist, field)), field
+        assert (cl.classical_variance_decomposition(F, a)
+                == cl.classical_variance_decomposition(F, copied))

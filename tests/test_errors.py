@@ -16,6 +16,7 @@ from locmom import cli, dynamics, moments, phasespace, states
 from locmom.errors import check, failure
 
 from conftest import GAUSS
+from dense_oracle import characteristic_function_S
 
 
 def test_check_passes_up_to_the_limit():
@@ -155,7 +156,7 @@ def _wigner_edge(grid64, gauss64, monkeypatch):
 
 
 def _off_grid_shift(grid64, gauss64, monkeypatch):
-    lm.characteristic_function_S(gauss64, NAN)
+    characteristic_function_S(gauss64, NAN)
 
 
 def _bayes_cell(grid64, gauss64, monkeypatch):

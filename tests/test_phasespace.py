@@ -11,10 +11,12 @@ from locmom import moments as mm
 from locmom import phasespace as ps
 from locmom.core import spatial_derivative
 
-from conftest import CORPUS, GAUSS, TWO_GAUSS, density, make_state
-from dense_oracle import (conditional_direct, conditional_full,
-                          margenau_hill_direct, margenau_hill_full,
-                          momentum_amplitudes_at, wigner_direct, wigner_full)
+from conftest import (CORPUS, GAUSS, TWO_GAUSS, density, make_state,
+                      traced_peak)
+from dense_oracle import (characteristic_function_S, conditional_direct,
+                          conditional_full, margenau_hill_direct,
+                          margenau_hill_full, momentum_amplitudes_at,
+                          wigner_direct, wigner_full)
 
 PLANE_K = 2.0 * np.pi * 4.0 / 40.0
 
@@ -105,8 +107,10 @@ def test_wigner_moment_densities_match_the_transform(n, name):
     psi = make_state(name, lm.make_grid(n, -20.0, 20.0))
     W = lm.wigner_transform(psi)
     orders = (1, 2, 3, 4)
-    for order, density in zip(orders, lm.wigner_moment_densities(psi, orders)):
-        dev = np.max(np.abs(density - W.moment_density(order)))
+    for order, density, reference in zip(
+            orders, lm.wigner_moment_densities(psi, orders),
+            W.moment_densities(orders)):
+        dev = np.max(np.abs(density - reference))
         assert dev < kernel_tolerance(psi, order), (order, dev)
 
 
@@ -129,8 +133,10 @@ def test_wigner_moment_densities_match_the_transform_on_superpositions(
         with pytest.raises(lm.PreconditionError, match=re.escape(str(exc))):
             lm.wigner_moment_densities(psi, (1, 2))
         return
-    for order, density in zip((1, 2), lm.wigner_moment_densities(psi, (1, 2))):
-        dev = np.max(np.abs(density - W.moment_density(order)))
+    for order, density, reference in zip(
+            (1, 2), lm.wigner_moment_densities(psi, (1, 2)),
+            W.moment_densities((1, 2))):
+        dev = np.max(np.abs(density - reference))
         assert dev < kernel_tolerance(psi, order), (order, dev)
 
 
@@ -324,7 +330,7 @@ def test_global_averages_from_phase_space(any_state):
 
 
 def test_characteristic_function_at_zero(any_state):
-    G = lm.characteristic_function_S(any_state, 0.0)
+    G = characteristic_function_S(any_state, 0.0)
     m = any_state.mask()
     assert np.max(np.abs(G.values[m] - 1.0)) < 1e-12
 
@@ -333,7 +339,7 @@ def test_characteristic_function_plane_wave(grid512):
     psi = make_state("plane_wave", grid512)
     for steps in (1, 3, 17):
         tau = steps * grid512.dq / grid512.hbar
-        G = lm.characteristic_function_S(psi, tau)
+        G = characteristic_function_S(psi, tau)
         expected = np.exp(1j * tau * PLANE_K)
         assert np.max(np.abs(G.values - expected)) < 1e-10
 
@@ -341,15 +347,15 @@ def test_characteristic_function_plane_wave(grid512):
 def test_characteristic_function_composes_for_plane_waves(grid512):
     psi = make_state("plane_wave", grid512)
     t1, t2 = 2 * grid512.dq, 5 * grid512.dq
-    g1 = lm.characteristic_function_S(psi, t1).values
-    g2 = lm.characteristic_function_S(psi, t2).values
-    g12 = lm.characteristic_function_S(psi, t1 + t2).values
+    g1 = characteristic_function_S(psi, t1).values
+    g2 = characteristic_function_S(psi, t2).values
+    g12 = characteristic_function_S(psi, t1 + t2).values
     assert np.max(np.abs(g12 - g1 * g2)) < 1e-10
 
 
 def test_characteristic_function_off_grid_shift(gauss512):
     with pytest.raises(lm.PreconditionError, match="integer multiple"):
-        lm.characteristic_function_S(gauss512, 0.4 * gauss512.grid.dq)
+        characteristic_function_S(gauss512, 0.4 * gauss512.grid.dq)
 
 
 def test_characteristic_function_taylor_series(gauss512):
@@ -357,7 +363,7 @@ def test_characteristic_function_taylor_series(gauss512):
     within the order-5 remainder bound."""
     g = gauss512.grid
     tau = g.dq / g.hbar
-    G = lm.characteristic_function_S(gauss512, tau)
+    G = characteristic_function_S(gauss512, tau)
     m = gauss512.mask()
     partial = np.ones(g.n, dtype=complex)
     factorial = 1.0
@@ -406,6 +412,24 @@ def test_conditional_momentum_zero_rows_at_exact_nodes(grid512):
     assert list(node) == [grid512.n // 2]  # q = 0
     P = lm.conditional_momentum_S(psi)
     assert not P[node].any() and np.all(np.isfinite(P))
+
+
+@pytest.mark.filterwarnings("error")
+def test_conditional_momentum_zero_fills_rows_below_the_live_bound():
+    """On [-160, 160] at n = 4096 the Gaussian falls through the subnormal
+    range, where 1/(2 psi(q)) and the shift quotients overflow: those rows
+    are zero-filled like exact nodes, every cell is finite and the Bayes
+    check passes, with no floating-point warning."""
+    psi = lm.synthesize(GAUSS, lm.make_grid(4096, -160.0, 160.0))
+    modulus = np.abs(psi.amp)
+    assert np.any((modulus > 0.0) & (modulus < np.finfo(float).tiny))
+    P = lm.conditional_momentum_S(psi)
+    assert np.all(np.isfinite(P))
+    live = P.any(axis=1)
+    assert modulus[~live].max() < modulus[live].min()
+    assert not live[modulus < np.finfo(float).tiny].any()
+    assert live[modulus >= 1e-300].all()
+    lm.bayes_product(psi, P)
 
 
 def test_bayes_product_reconstructs_mh(any_state):
@@ -502,15 +526,6 @@ def test_n2_transforms_refuse_over_memory_budget(monkeypatch, gauss512):
         fit = int(re.search(r"largest n that fits is (\d+)", message)[1])
         assert fit % 2 == 0
         assert fit ** 2 * per_cell <= budget < (fit + 2) ** 2 * per_cell
-
-
-def traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
