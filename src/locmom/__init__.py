@@ -10,10 +10,9 @@ from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
 from .errors import (ConfigError, LocmomError, PreconditionError,
                      SelfCheckError)
 from .moments import (LocalProfile, ObservableSpec, VarianceDecomposition,
-                      density_inequality_witness, direct_variance,
-                      global_average, linear_action, local_value,
-                      local_variance, local_variance_C, local_variance_S,
-                      moment_densities, momentum_power,
+                      direct_variance, global_average, linear_action,
+                      local_value, local_variance, local_variance_C,
+                      local_variance_S, moment_densities, momentum_power,
                       phase_space_local_moment, phase_space_local_variance,
                       position_function, variance_decomposition,
                       variance_difference_term)
@@ -21,8 +20,8 @@ from .phasespace import (QuasiDistribution, bayes_product,
                          conditional_momentum_S, margenau_hill_transform,
                          wigner_moment_densities, wigner_moment_density_stack,
                          wigner_transform)
-from .classical import (ClassicalObservable, ObservableDistribution,
-                        classical_local_moment, classical_local_variance,
+from .classical import (ObservableDistribution, classical_local_moment,
+                        classical_local_variance,
                         classical_variance_decomposition, gaussian_density,
                         momentum_variable, observable_distribution,
                         position_variable, wigner_as_classical)

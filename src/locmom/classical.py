@@ -8,9 +8,12 @@ bridge comparison is a pointwise array comparison.  All classical local
 variances are nonnegative, which is the structural contrast with the
 quantum definitions.
 
-classical_local_moment is the general n x n route for any a(q, p).  The
-bridge reads a = p off the lattice as the quantum side does
-(QuasiDistribution.moment_densities), with no n x n temporary.
+An observable a(q, p) is an array that broadcasts to the lattice.
+classical_local_moment is the general n x n route for any a.  The bridge
+reads a = p off the lattice as the quantum side does
+(QuasiDistribution.moment_densities), with no n x n temporary.  Masks,
+quotients and the decomposition go through the same core layer as the
+quantum definitions.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
-                   quotient_on, variance_profile)
+from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile,
+                   VarianceDecomposition, Wavefunction, local_quotients,
+                   split_total_variance, support_mask, variance_profile)
 from .errors import PreconditionError, check
-from .moments import VarianceDecomposition
+from .moments import MOMENT_ORDER_CAP
 from .phasespace import QuasiDistribution, wigner_pgrid, wigner_transform
 from .states import Gaussian, StateRecipe, synthesize
 
@@ -30,13 +34,6 @@ BIN_SUPPORT_EPS = 1e-12
 
 # Depth below zero down to which wigner_as_classical clips Wigner cells.
 WIGNER_CLIP_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ClassicalObservable:
-    """A dynamical variable a(q, p) sampled on the lattice."""
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,47 +82,46 @@ def gaussian_density(grid: GridSpec, mean_q: float, mean_p: float,
                              values=values)
 
 
-def momentum_variable(F: QuasiDistribution) -> ClassicalObservable:
+def momentum_variable(F: QuasiDistribution) -> np.ndarray:
     """a(q, p) = p on the lattice of F, a read-only broadcast of pgrid."""
-    return ClassicalObservable(np.broadcast_to(F.pgrid[None, :],
-                                               F.values.shape))
+    return np.broadcast_to(F.pgrid[None, :], F.values.shape)
 
 
-def position_variable(F: QuasiDistribution, g: np.ndarray) -> ClassicalObservable:
+def position_variable(F: QuasiDistribution, g: np.ndarray) -> np.ndarray:
     """a(q, p) = g(q), p-independent, a read-only broadcast of g."""
-    return ClassicalObservable(np.broadcast_to(
-        np.asarray(g, dtype=float)[:, None], F.values.shape))
+    return np.broadcast_to(np.asarray(g, dtype=float)[:, None],
+                           F.values.shape)
 
 
-def _position_mask(P: np.ndarray, eps_factor: float) -> np.ndarray:
-    """Where the position marginal P reaches eps_factor of its maximum."""
-    mask = P >= eps_factor * P.max()
-    if not mask.any():
-        raise PreconditionError("classical density has empty support")
-    return mask
+def _densities(F: QuasiDistribution, a: np.ndarray,
+               orders: tuple[int, ...]) -> list[np.ndarray]:
+    """sum_k a^k F dp per order k: the densities in q of a's moments."""
+    return [(a ** k * F.values).sum(axis=1) * F.dp for k in orders]
 
 
-def classical_local_moment(F: QuasiDistribution, a: ClassicalObservable,
-                           order: int,
+def _local_moments(F: QuasiDistribution, a: np.ndarray,
+                   orders: tuple[int, ...], eps_factor: float) -> tuple:
+    _check_density(F)
+    return local_quotients(F.grid, F.q_marginal(), _densities(F, a, orders),
+                           eps_factor)
+
+
+def classical_local_moment(F: QuasiDistribution, a: np.ndarray, order: int,
                            eps_factor: float = DEFAULT_MASK_EPS) -> RealProfile:
     """n-th conditional moment of a given q: (sum_k a^n F dp) / P(q)."""
-    if not 1 <= order <= 4:
-        raise PreconditionError("moment order must be in 1..4, got %d" % order)
-    _check_density(F)
-    P = F.q_marginal()
-    mask = _position_mask(P, eps_factor)
-    density = (a.values ** order * F.values).sum(axis=1) * F.dp
-    return RealProfile(F.grid, quotient_on(mask, density, P), mask)
+    if not 1 <= order <= MOMENT_ORDER_CAP:
+        raise PreconditionError("moment order must be in 1..%d, got %d"
+                                % (MOMENT_ORDER_CAP, order))
+    return _local_moments(F, a, (order,), eps_factor)[0]
 
 
-def classical_local_variance(F: QuasiDistribution, a: ClassicalObservable,
+def classical_local_variance(F: QuasiDistribution, a: np.ndarray,
                              eps_factor: float = DEFAULT_MASK_EPS) -> RealProfile:
     """Conditional variance of a given q; a true variance, nonnegative."""
-    return variance_profile(classical_local_moment(F, a, 1, eps_factor),
-                            classical_local_moment(F, a, 2, eps_factor))
+    return variance_profile(*_local_moments(F, a, (1, 2), eps_factor))
 
 
-def observable_distribution(F: QuasiDistribution, a: ClassicalObservable,
+def observable_distribution(F: QuasiDistribution, a: np.ndarray,
                             bin_count: int,
                             eps_factor: float = DEFAULT_MASK_EPS
                             ) -> ObservableDistribution:
@@ -146,8 +142,10 @@ def observable_distribution(F: QuasiDistribution, a: ClassicalObservable,
     if bin_count < 16:
         raise PreconditionError("bin_count must be >= 16, got %d" % bin_count)
     _check_density(F)
-    support = F.values >= BIN_SUPPORT_EPS * F.values.max()
-    levels = np.unique(a.values[support])
+    a = np.broadcast_to(a, F.values.shape)
+    # the rule over the whole lattice, not per q row
+    support = support_mask(F.values.ravel(), BIN_SUPPORT_EPS)
+    levels = np.unique(a[support.reshape(a.shape)])
     a_lo, a_hi = float(levels[0]), float(levels[-1])
     if a_hi == a_lo:
         # constant observable: one occupied bin of unit width around it
@@ -167,7 +165,7 @@ def observable_distribution(F: QuasiDistribution, a: ClassicalObservable,
     edges = np.concatenate([centers - 0.5 * da, [centers[-1] + 0.5 * da]])
 
     n = F.grid.n
-    b = np.clip(np.floor((a.values - edges[0]) / da).astype(int), 0,
+    b = np.clip(np.floor((a - edges[0]) / da).astype(int), 0,
                 bin_count - 1)
     # one bincount over the flattened (bin, q) cells: a density in (a, q)
     joint = np.bincount((b * n + np.arange(n)[:, None]).ravel(),
@@ -175,47 +173,31 @@ def observable_distribution(F: QuasiDistribution, a: ClassicalObservable,
                         bin_count * n).reshape(bin_count, n)
 
     marginal = joint.sum(axis=1) * F.grid.dq
-    P = F.q_marginal()
-    mask = _position_mask(P, eps_factor)
-    conditional = quotient_on(mask[None, :], joint, P[None, :])
+    (conditional,) = local_quotients(F.grid, F.q_marginal(), [joint],
+                                     eps_factor)
     return ObservableDistribution(edges=edges, centers=centers, da=da,
                                   joint=joint, marginal=marginal,
-                                  conditional=conditional, mask=mask)
+                                  conditional=conditional.values,
+                                  mask=conditional.mask)
 
 
-def classical_variance_decomposition(F: QuasiDistribution,
-                                     a: ClassicalObservable,
+def classical_variance_decomposition(F: QuasiDistribution, a: np.ndarray,
                                      eps_factor: float = DEFAULT_MASK_EPS
                                      ) -> VarianceDecomposition:
-    """Exact split of sigma^2_a; both components nonnegative.
+    """Exact split of sigma^2_a; both components nonnegative to roundoff.
 
-    The sums run over every column with P(q) > 0 (not just the display
-    mask): the discrete law of total variance is then an algebraic
-    identity, exact to roundoff."""
+    core.split_total_variance runs over every column with P(q) > 0 (not
+    just the display mask, so eps_factor is not read): the discrete law of
+    total variance is then an algebraic identity, exact to roundoff."""
     _check_density(F)
     P = F.q_marginal()
-    live = P > 0.0
-    if not live.any():
-        raise PreconditionError("classical density has empty support")
-    mean = float((a.values * F.values).sum() * F.grid.dq * F.dp)
-    m1_density = (a.values * F.values).sum(axis=1) * F.dp
-    m2_density = (a.values ** 2 * F.values).sum(axis=1) * F.dp
-    m1 = m1_density[live] / P[live]
-    m2 = m2_density[live] / P[live]
-    weights = P[live] * F.grid.dq
-    avg_local_variance = float(np.sum((m2 - m1 ** 2) * weights))
-    variance_of_local_avg = float(np.sum((m1 - mean) ** 2 * weights))
-    return VarianceDecomposition(
-        definition="classical",
-        avg_local_variance=avg_local_variance,
-        variance_of_local_avg=variance_of_local_avg,
-        total=avg_local_variance + variance_of_local_avg)
+    return split_total_variance("classical", F.grid.dq, P,
+                                *_densities(F, a, (1, 2)), P > 0.0)
 
 
-def direct_classical_variance(F: QuasiDistribution,
-                              a: ClassicalObservable) -> float:
-    mean = float((a.values * F.values).sum() * F.grid.dq * F.dp)
-    return float(((a.values - mean) ** 2 * F.values).sum() * F.grid.dq * F.dp)
+def direct_classical_variance(F: QuasiDistribution, a: np.ndarray) -> float:
+    mean = float((a * F.values).sum() * F.grid.dq * F.dp)
+    return float(((a - mean) ** 2 * F.values).sum() * F.grid.dq * F.dp)
 
 
 def wigner_as_classical(recipe: StateRecipe, grid: GridSpec,
@@ -249,11 +231,7 @@ def classical_pipeline_profiles(F: QuasiDistribution,
     masked by the quantum state's rho threshold; the densities of p and
     p^2 come from one pass over the lattice (F.moment_densities)."""
     _check_density(F)
-    P = F.q_marginal()
-    support = _position_mask(P, eps_factor)
-    m1, m2 = (RealProfile(F.grid, quotient_on(support, density, P), support)
-              for density in F.moment_densities((1, 2)))
-    var = variance_profile(m1, m2)
-    mask = psi.mask(eps_factor) & support
-    return (RealProfile(F.grid, m1.values, mask),
-            RealProfile(F.grid, var.values, mask))
+    m1, m2 = local_quotients(F.grid, F.q_marginal(),
+                             F.moment_densities((1, 2)), eps_factor)
+    mask = psi.mask(eps_factor) & m1.mask
+    return replace(m1, mask=mask), replace(variance_profile(m1, m2), mask=mask)

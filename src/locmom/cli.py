@@ -63,9 +63,11 @@ _NUMBER = ("a finite number",
 _POSITIVE = ("a positive finite number", lambda v: _NUMBER[1](v) and v > 0)
 _TEXT = ("a string", lambda v: type(v) is str)
 _PATH = ("a path or null", lambda v: v is None or type(v) is str)
-_ORDER = ("an integer 1..4 or 'variance'",
+_MASK_EPS = ("a number in (0, 1]", lambda v: _NUMBER[1](v) and 0 < v <= 1)
+_ORDERS = range(1, moments.MOMENT_ORDER_CAP + 1)
+_ORDER = ("an integer 1..%d or 'variance'" % _ORDERS[-1],
           lambda v: type(v) in (int, str)
-          and v in ("variance", "1", "2", "3", "4", 1, 2, 3, 4))
+          and v in ("variance", *map(str, _ORDERS), *_ORDERS))
 
 _ALL = ("moments", "decompose", "distribution", "evolve")
 _PROFILES = ("moments", "decompose")
@@ -98,7 +100,7 @@ class RunConfig:
     mass: float = _setting(1.0, _POSITIVE, _ALL, "particle mass")
     state: str = _setting("gaussian(s=1.0,k0=2.0,q0=0.0)", _TEXT, _ALL,
                           "state recipe in canonical textual form")
-    definition: str = _setting("all", _one_of("S", "C", "MH", "W", "all"),
+    definition: str = _setting("all", _one_of(*moments.DEFINITIONS, "all"),
                                _PROFILES, "local moment definition")
     order: str = _setting("variance", _ORDER, ("moments",), "moment order")
     format: str = _setting("csv", _one_of("csv", "json", "binary"),
@@ -107,7 +109,7 @@ class RunConfig:
                            "output format")
     out: str | None = _setting(None, _PATH, _ALL,
                                "output file, or evolve's file name prefix")
-    mask_eps: float = _setting(1e-10, _POSITIVE, _PROFILES + ("evolve",),
+    mask_eps: float = _setting(1e-10, _MASK_EPS, _PROFILES + ("evolve",),
                                "relative rho threshold of the validity mask")
     potential: str = _setting("free", _TEXT, ("evolve",),
                               "free, harmonic:OMEGA or barrier:H,W,C")

@@ -127,9 +127,8 @@ class Wavefunction:
         return float(np.sqrt(np.sum(np.abs(self.amp) ** 2) * self.grid.dq))
 
     def mask(self, eps_factor: float = DEFAULT_MASK_EPS) -> np.ndarray:
-        """Boolean mask of points where rho exceeds eps_factor * max(rho)."""
-        rho = self.rho()
-        return rho >= eps_factor * rho.max()
+        """support_mask of rho."""
+        return support_mask(self.rho(), eps_factor)
 
 
 @dataclass(frozen=True)
@@ -213,16 +212,30 @@ def spectral_multiply(amps: np.ndarray, *factors: np.ndarray) -> tuple:
     return tuple(np.fft.ifft(f * spectrum) for f in factors)
 
 
-def masked_quotient(psi: Wavefunction, numerator: np.ndarray,
-                    eps_factor: float = DEFAULT_MASK_EPS) -> RealProfile:
-    """numerator / rho on the mask of psi, zero off it.
+def support_mask(weight: np.ndarray,
+                 eps_factor: float = DEFAULT_MASK_EPS) -> np.ndarray:
+    """The mask rule of every local statistic: weight >= eps_factor *
+    max(weight) along the last axis, eps_factor in (0, 1].  An empty mask
+    (NaN weights) is left to the caller's own checks."""
+    if not 0.0 < eps_factor <= 1.0:
+        raise PreconditionError("mask eps_factor must lie in (0, 1], got %r"
+                                % (eps_factor,))
+    return weight >= eps_factor * weight.max(axis=-1, keepdims=True)
 
-    The quotients are genuinely singular at nodes, so points below the rho
-    threshold are masked, not regularized."""
-    mask = psi.mask(eps_factor)
+
+def local_quotients(grid: GridSpec, weight: np.ndarray, densities,
+                    eps_factor: float = DEFAULT_MASK_EPS,
+                    divisor: np.ndarray | None = None) -> tuple:
+    """Each density over the position weight (rho, or a lattice's
+    q-marginal), or over divisor if given, as RealProfiles that share the
+    support_mask of weight and are zero off it.  The quotients are
+    singular at nodes, so such points are masked, not regularized."""
+    mask = support_mask(weight, eps_factor)
     if not mask.any():
         raise PreconditionError("state has no support")
-    return RealProfile(psi.grid, quotient_on(mask, numerator, psi.rho()), mask)
+    den = weight if divisor is None else divisor
+    return tuple(RealProfile(grid, quotient_on(mask, d, den), mask)
+                 for d in densities)
 
 
 def quotient_on(mask: np.ndarray, num: np.ndarray,
@@ -239,6 +252,40 @@ def variance_profile(first: RealProfile, second: RealProfile) -> RealProfile:
     values = second.values - first.values ** 2
     values[~first.mask] = 0.0
     return RealProfile(first.grid, values, first.mask)
+
+
+@dataclass(frozen=True)
+class VarianceDecomposition:
+    """Total variance split into the q-average of local variances plus the
+    q-variance of local averages."""
+
+    definition: str
+    avg_local_variance: float
+    variance_of_local_avg: float
+    total: float
+
+
+def split_total_variance(definition: str, dq: float, weight: np.ndarray,
+                         first: np.ndarray, second: np.ndarray,
+                         mask: np.ndarray, mean: float | None = None
+                         ) -> VarianceDecomposition:
+    """The law of total variance at the density level, for the position
+    weight w and the first and second moment densities D, M2:
+
+        avg local variance      = int M2 dq - int_mask D^2/w dq
+        variance of local avgs  = int_mask (D/sqrt(w) - <A> sqrt(w))^2 dq
+
+    with <A> = int D dq unless given.  M2 - D^2/w and D^2/w stay finite
+    at nodes where the local variance itself diverges."""
+    if mean is None:
+        mean = float(np.sum(first) * dq)
+    D, w = first[mask], weight[mask]
+    avg_local_variance = float(np.sum(second) * dq - np.sum(D ** 2 / w) * dq)
+    spread = (D / np.sqrt(w) - mean * np.sqrt(w)) ** 2
+    variance_of_local_avg = float(np.sum(spread) * dq)
+    return VarianceDecomposition(definition, avg_local_variance,
+                                 variance_of_local_avg,
+                                 avg_local_variance + variance_of_local_avg)
 
 
 def integrate(profile: RealProfile) -> float:

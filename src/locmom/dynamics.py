@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    apply_momentum_power, quotient_on, require_normalized,
-                   spectral_multiply)
+                   spectral_multiply, support_mask)
 from .errors import PreconditionError, SelfCheckError, check
 from .moments import moment_densities, momentum_power
 from .phasespace import ROW_BLOCK, wigner_moment_density_stack
@@ -232,8 +232,8 @@ def hydrodynamic_residuals(trace: EvolutionTrace,
                        - (1/(m rho)) d(rho sigma2_W)/dq,
 
     then the (T, n) rows of rho, of pbar = D/rho and of pbar's mask
-    rho >= eps_factor max(rho), each row the local_value of p under S of
-    its snapshot.  The first local momentum moment is
+    (core.support_mask of each rho row), each row the local_value of p
+    under S of its snapshot.  The first local momentum moment is
     definition-independent (S = MH = W), so D is evaluated once from the
     amplitudes; the Wigner moment densities of every snapshot are checked
     against, and the Euler residual evaluated through, their bilinear
@@ -260,7 +260,7 @@ def hydrodynamic_residuals(trace: EvolutionTrace,
         stop = min(start + chunk, count)
         _checked_fields(trace.snapshots[start:stop], g, fields[:, start:stop])
     rho_all, D_all = fields[0], fields[2]
-    own = rho_all >= eps_factor * rho_all.max(axis=1, keepdims=True)
+    own = support_mask(rho_all, eps_factor)
     pbar_all = quotient_on(own, D_all, rho_all)
 
     continuity = euler = 0.0

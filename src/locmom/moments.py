@@ -20,10 +20,10 @@ while the equivalent bilinear form divides global FFT roundoff by a rho
 near the mask threshold.  It agrees with the Wigner transform's moment
 densities to roundoff and builds no n x n array.
 
-A local moment is core.masked_quotient of a density by rho; a local
-variance is core.variance_profile of the first two, except that the C one
-keeps the form Im[(A psi)/psi]^2, its analytic equal.  The S local variance
-may be negative; the C one is a square and may not.  Half the gap between
+A local moment is a density over rho on one mask (core.local_quotients);
+a local variance is core.variance_profile of the first two, except that
+the C one keeps the form Im[(A psi)/psi]^2, its analytic equal.  The S
+local variance may be negative; the C one is a square and may not.  Half the gap between
 the C and S second densities over rho is the difference term that relates
 the W, MH and C local variances of p.
 """
@@ -35,9 +35,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DEFAULT_MASK_EPS, RealProfile, Wavefunction,
-                   apply_momentum_power, masked_quotient, quotient_on,
-                   require_normalized, variance_profile)
+from .core import (DEFAULT_MASK_EPS, RealProfile, VarianceDecomposition,
+                   Wavefunction, apply_momentum_power, local_quotients,
+                   quotient_on, require_normalized, split_total_variance,
+                   support_mask, variance_profile)
 from .errors import PreconditionError, check
 from .phasespace import QuasiDistribution, wigner_moment_densities
 
@@ -101,17 +102,6 @@ class LocalProfile:
     profile: RealProfile
 
 
-@dataclass(frozen=True)
-class VarianceDecomposition:
-    """Total variance split into the q-average of local variances plus the
-    q-variance of local averages."""
-
-    definition: str
-    avg_local_variance: float
-    variance_of_local_avg: float
-    total: float
-
-
 def _require_square(A: ObservableSpec) -> Callable:
     if A.apply_square is None:
         raise PreconditionError("square action required: observable %r does "
@@ -168,8 +158,8 @@ def local_value(psi: Wavefunction, A: ObservableSpec, definition: str,
     """Local value of A under the definition: its first moment density
     over rho.  S, C and MH agree; W agrees with them for A = p."""
     (first,) = moment_densities(psi, A, definition, orders=(1,))
-    return LocalProfile(definition, A.order,
-                        masked_quotient(psi, first, eps_factor))
+    (profile,) = local_quotients(psi.grid, psi.rho(), [first], eps_factor)
+    return LocalProfile(definition, A.order, profile)
 
 
 def local_variance(psi: Wavefunction, A: ObservableSpec, definition: str,
@@ -179,15 +169,14 @@ def local_variance(psi: Wavefunction, A: ObservableSpec, definition: str,
     local_variance_C."""
     if definition == "C":
         return local_variance_C(psi, A, eps_factor)
-    first, second = moment_densities(psi, A, definition)
+    densities = moment_densities(psi, A, definition)
     return LocalProfile(definition, "variance", variance_profile(
-        masked_quotient(psi, first, eps_factor),
-        masked_quotient(psi, second, eps_factor)))
+        *local_quotients(psi.grid, psi.rho(), densities, eps_factor)))
 
 
 def _phase_space_moments(F: QuasiDistribution, psi: Wavefunction,
                          orders: tuple[int, ...],
-                         eps_factor: float) -> list[RealProfile]:
+                         eps_factor: float) -> tuple[RealProfile, ...]:
     """The local momentum moments (sum_k p_k^order F dp) / rho on the mask,
     one per order, from one pass over the transform's lattice."""
     if F.grid != psi.grid:
@@ -196,8 +185,8 @@ def _phase_space_moments(F: QuasiDistribution, psi: Wavefunction,
         raise PreconditionError(
             "phase-space local moments need a weyl_wigner or margenau_hill "
             "distribution, got kind %r" % F.kind)
-    return [masked_quotient(psi, density, eps_factor)
-            for density in F.moment_densities(orders)]
+    return local_quotients(psi.grid, psi.rho(), F.moment_densities(orders),
+                           eps_factor)
 
 
 def phase_space_local_moment(F: QuasiDistribution, psi: Wavefunction,
@@ -228,12 +217,10 @@ def local_variance_C(psi: Wavefunction, A: ObservableSpec,
                      eps_factor: float = DEFAULT_MASK_EPS) -> LocalProfile:
     """C local variance Im[(A psi)(q)/psi(q)]^2 (manifestly nonnegative)."""
     require_normalized(psi)
-    mask = psi.mask(eps_factor)
-    if not mask.any():
-        raise PreconditionError("state has no support")
-    ratio = quotient_on(mask, A.apply(psi), psi.amp)
-    return LocalProfile("C", "variance",
-                        RealProfile(psi.grid, np.imag(ratio) ** 2, mask))
+    (ratio,) = local_quotients(psi.grid, psi.rho(), [A.apply(psi)],
+                               eps_factor, divisor=psi.amp)
+    return LocalProfile("C", "variance", RealProfile(
+        psi.grid, np.imag(ratio.values) ** 2, ratio.mask))
 
 
 def local_variance_S(psi: Wavefunction, A: ObservableSpec,
@@ -243,18 +230,6 @@ def local_variance_S(psi: Wavefunction, A: ObservableSpec,
     Not semidefinite positive; for a Gaussian it is negative beyond
     |q - q0| > s*sqrt(2)."""
     return local_variance(psi, A, "S", eps_factor)
-
-
-def density_inequality_witness(psi: Wavefunction, A: ObservableSpec,
-                               eps_factor: float = DEFAULT_MASK_EPS) -> float:
-    """Max over masked-in q of |sandwich - symmetrized A^2 density|.
-
-    Zero for eigenstates of A and for diagonal observables; strictly
-    positive for generic states."""
-    (sym,) = moment_densities(psi, A, "S", orders=(2,))
-    (sandwich,) = moment_densities(psi, A, "C", orders=(2,))
-    mask = psi.mask(eps_factor)
-    return float(np.max(np.abs(sandwich - sym)[mask]))
 
 
 def variance_difference_term(psi: Wavefunction,
@@ -270,7 +245,8 @@ def variance_difference_term(psi: Wavefunction,
     p = momentum_power(1)
     (sym,) = moment_densities(psi, p, "S", orders=(2,))
     (sandwich,) = moment_densities(psi, p, "C", orders=(2,))
-    return masked_quotient(psi, 0.5 * (sandwich - sym), eps_factor)
+    return local_quotients(psi.grid, psi.rho(), [0.5 * (sandwich - sym)],
+                           eps_factor)[0]
 
 
 def global_average(psi: Wavefunction, A: ObservableSpec) -> float:
@@ -286,46 +262,27 @@ def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
     """Split sigma^2_A into avg local variance + variance of local averages.
 
     The sum must reproduce <A^2> - <A>^2; the caller checks it against the
-    returned total.  The components are assembled at the density level,
-
-        avg local variance      = int (M2 - D^2/rho) dq
-        variance of local avgs  = int (D/sqrt(rho) - <A> sqrt(rho))^2 dq,
-
-    because the bounded combinations M2 - D^2/rho and D^2/rho (with
-    D^2/rho <= the sandwich density) stay finite at nodes where the local
-    variance itself diverges; a node carries finite variance-density
-    weight under the C and W definitions even though rho vanishes there.
-    The quotient is dropped below the rho mask (its true value there is
-    bounded by the sandwich density, i.e. negligible).  Raises if the
-    masked-out region carries probability above 1e-8, which would make the
-    split unreliable.
+    returned total.  The split is core.split_total_variance on the rho
+    mask, around the S mean; the quotient's true value below the mask is
+    bounded by the sandwich density, i.e. negligible.  A position
+    function g has zero local spread under every definition, so its split
+    is read off g = g rho / rho where rho > 0.  Raises if the masked-out
+    region carries probability above 1e-8, which would make the split
+    unreliable.
     """
     first, second = moment_densities(psi, A, definition)
     rho = psi.rho()
-    mask = psi.mask(eps_factor)
-    check("probability outside the rho mask",
-          np.sum(rho[~mask]) * psi.grid.dq, 1e-8, PreconditionError,
-          hint="the decomposition is unreliable")
-
-    mean = global_average(psi, A)
+    mask = support_mask(rho, eps_factor)
     dq = psi.grid.dq
-    if A.kind == "position_function":
-        # diagonal observable: zero local spread under every definition;
-        # g = g rho / rho is read where rho > 0 (no division by psi)
-        g = quotient_on(rho > 0, first, rho)
-        avg_local_variance = 0.0
-        variance_of_local_avg = float(np.sum((g - mean) ** 2 * rho) * dq)
-    else:
-        quot = first[mask] ** 2 / rho[mask]
-        avg_local_variance = float(np.sum(second) * dq - np.sum(quot) * dq)
-        spread = (first[mask] / np.sqrt(rho[mask])
-                  - mean * np.sqrt(rho[mask])) ** 2
-        variance_of_local_avg = float(np.sum(spread) * dq)
-    return VarianceDecomposition(
-        definition=definition,
-        avg_local_variance=avg_local_variance,
-        variance_of_local_avg=variance_of_local_avg,
-        total=avg_local_variance + variance_of_local_avg)
+    check("probability outside the rho mask", np.sum(rho[~mask]) * dq, 1e-8,
+          PreconditionError, hint="the decomposition is unreliable")
+    mean = global_average(psi, A)
+    if A.kind != "position_function":
+        return split_total_variance(definition, dq, rho, first, second, mask,
+                                    mean)
+    g = quotient_on(rho > 0, first, rho)
+    spread = float(np.sum((g - mean) ** 2 * rho) * dq)
+    return VarianceDecomposition(definition, 0.0, spread, spread)
 
 
 def direct_variance(psi: Wavefunction, A: ObservableSpec) -> float:

@@ -17,7 +17,8 @@ check the blocked routes at sizes with partial row blocks.
 characteristic_function_S builds one slice G(tau, q) of the local
 characteristic function by periodic grid shifting, the single-tau form of
 the function that conditional_momentum_S inverts over the whole tau
-lattice.
+lattice.  density_inequality_witness compares the two local densities of
+A^2 that moment_densities gives under S and C.
 
 The hydrodynamic residuals are the exception: hydrodynamic_residuals
 recomputes them one snapshot at a time with the package's own
@@ -237,6 +238,17 @@ def characteristic_function_S(psi, tau: float,
     values = (quotient_on(mask, np.roll(amp, -j), 2.0 * amp)
               + quotient_on(mask, np.roll(conj, j), 2.0 * conj))
     return CharacteristicSlice(tau=float(tau), values=values)
+
+
+def density_inequality_witness(psi, A, eps_factor=DEFAULT_MASK_EPS) -> float:
+    """Max over masked-in q of |sandwich - symmetrized A^2 density|.
+
+    Zero for eigenstates of A and for diagonal observables; strictly
+    positive for generic states."""
+    (sym,) = moment_densities(psi, A, "S", orders=(2,))
+    (sandwich,) = moment_densities(psi, A, "C", orders=(2,))
+    mask = psi.mask(eps_factor)
+    return float(np.max(np.abs(sandwich - sym)[mask]))
 
 
 def amplitude_fields(psi):

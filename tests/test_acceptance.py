@@ -122,7 +122,7 @@ def test_criterion_3_decomposition_identity(grid512):
 def test_criterion_4_density_pair(grid16):
     psi = lm.synthesize(GAUSS, grid16)
     A = mm.momentum_power(1)
-    witness = lm.density_inequality_witness(psi, A)
+    witness = dense.density_inequality_witness(psi, A)
     assert witness >= 0.19
     i0 = np.argmin(np.abs(grid16.q))
     sandwich = density(psi, A, "C", 2)

@@ -3,6 +3,8 @@ import pytest
 
 import locmom as lm
 from locmom import classical as cl
+from locmom import cli
+from locmom import moments as mm
 from locmom import phasespace as ps
 
 from conftest import GAUSS, traced_peak
@@ -85,7 +87,7 @@ def test_observable_distribution_mean_route(gauss_density):
 
 
 def test_observable_distribution_constant_observable(gauss_density):
-    a = cl.ClassicalObservable(np.full_like(gauss_density.values, 3.25))
+    a = np.full_like(gauss_density.values, 3.25)
     od = cl.observable_distribution(gauss_density, a, 64)
     peak = np.argmax(od.marginal)
     assert od.centers[peak] == pytest.approx(3.25, abs=1e-12)
@@ -110,7 +112,7 @@ def test_observable_distribution_joint_equals_per_column_bincount():
     F = cl.wigner_as_classical(GAUSS, grid)
     a = cl.momentum_variable(F)
     od = cl.observable_distribution(F, a, 40)
-    b = np.clip(np.floor((a.values - od.edges[0]) / od.da).astype(int), 0, 39)
+    b = np.clip(np.floor((a - od.edges[0]) / od.da).astype(int), 0, 39)
     weights = F.values * F.dp / od.da
     joint = np.stack([np.bincount(b[j], weights=weights[j], minlength=40)
                       for j in range(grid.n)], axis=1)
@@ -177,7 +179,7 @@ def test_wigner_bridge_matches_quantum_profiles(grid):
 def test_wigner_bridge_global_second_moment(grid):
     density = cl.wigner_as_classical(GAUSS, grid)
     a = cl.momentum_variable(density)
-    total = float((a.values ** 2 * density.values).sum() * grid.dq * density.dp)
+    total = float((a ** 2 * density.values).sum() * grid.dq * density.dp)
     assert total == pytest.approx(4.25, abs=1e-7)
 
 
@@ -238,10 +240,10 @@ def test_observables_are_read_only_views(gauss_density, grid):
     F = gauss_density
     for a in (cl.momentum_variable(F),
               cl.position_variable(F, np.tanh(grid.q))):
-        assert not a.values.flags.writeable
+        assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            a.values[0, 0] = 1.0
-        copied = cl.ClassicalObservable(a.values.copy())
+            a[0, 0] = 1.0
+        copied = a.copy()
         view_hist = cl.observable_distribution(F, a, 64)
         copy_hist = cl.observable_distribution(F, copied, 64)
         for field in ("edges", "joint", "marginal", "conditional", "mask"):
@@ -249,3 +251,26 @@ def test_observables_are_read_only_views(gauss_density, grid):
                                   getattr(copy_hist, field)), field
         assert (cl.classical_variance_decomposition(F, a)
                 == cl.classical_variance_decomposition(F, copied))
+
+
+# The Gaussians (s, k0, q0) of the benchmark decks, on the window that
+# grows with n past 512.
+DECK_GAUSSIANS = [(1.0, 2.0, 0.0), (0.8, -1.0, 1.5), (0.9, 1.5, 0.0)]
+
+
+@pytest.mark.parametrize("n", [256, 512, 2048])
+def test_classical_and_quantum_splits_agree_through_the_bridge(n):
+    """One density-level split serves both sides: the classical split of
+    the clipped Gaussian Wigner lattice is the W split of the state."""
+    half = 20.0 * max(1.0, n / 512)
+    grid = lm.make_grid(n, -half, half)
+    for s, k0, q0 in DECK_GAUSSIANS:
+        recipe = lm.Gaussian(s=s, k0=k0, q0=q0)
+        psi = lm.synthesize(recipe, grid)
+        F = cl.wigner_as_classical(recipe, grid, psi)
+        classical = cl.classical_variance_decomposition(
+            F, cl.momentum_variable(F))
+        quantum = lm.variance_decomposition(psi, mm.momentum_power(1), "W")
+        for field in ("avg_local_variance", "variance_of_local_avg", "total"):
+            assert abs(getattr(classical, field) - getattr(quantum, field)
+                       ) < cli.DECOMPOSE_RESIDUAL_TOL, (s, k0, q0, field)

@@ -471,6 +471,17 @@ def test_grid_n_bound_is_admitted():
     RunConfig(grid_n=cli.GRID_N_MAX).validate()
 
 
+@pytest.mark.parametrize("command", ["moments", "decompose", "evolve"])
+def test_mask_eps_above_one_exits_2_with_one_line(capsys, command):
+    """An eps over 1 empties every mask, where evolve reported residuals
+    of 0.0 with exit 0; every subcommand that reads it refuses it."""
+    code, out, err = run([command, *EVOLVE_GRID, "--mask-eps", "2"], capsys)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["message"] == (
+        "mask_eps must be a number in (0, 1], got 2.0")
+    RunConfig(mask_eps=1.0).validate(command)
+
+
 FLOAT_FLAGS = sorted({(command, "--" + f.name.replace("_", "-"))
                       for f in fields(RunConfig) if type(f.default) is float
                       for command in f.metadata["commands"]})

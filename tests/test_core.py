@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import locmom as lm
-from locmom.core import RealProfile, spectral_multiply
+from locmom.core import RealProfile, spectral_multiply, support_mask
 
 from conftest import make_state
 
@@ -209,3 +209,25 @@ def test_normalize_rejects_nonfinite(grid512):
     amp[0] = np.nan
     with pytest.raises(lm.PreconditionError, match="finite"):
         lm.normalize(lm.Wavefunction(grid512, amp))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-10, 1.0 + 1e-15, 2.0, np.nan])
+def test_mask_rule_refuses_eps_outside_the_unit_interval(gauss512, eps):
+    with pytest.raises(lm.PreconditionError, match=r"in \(0, 1\]"):
+        gauss512.mask(eps)
+    with pytest.raises(lm.PreconditionError, match=r"in \(0, 1\]"):
+        lm.local_value(gauss512, lm.momentum_power(1), "S", eps)
+
+
+def test_mask_rule_runs_along_the_last_axis(any_state):
+    rho = any_state.rho()
+    stack = np.stack([rho, 4.0 * rho[::-1], rho ** 2])
+    rows = [support_mask(row, 1e-6) for row in stack]
+    assert np.array_equal(support_mask(stack, 1e-6), np.stack(rows))
+    assert np.array_equal(support_mask(rho, 1.0), rho == rho.max())
+
+
+def test_mask_rule_leaves_an_empty_mask_to_the_caller():
+    """NaN weights give an empty mask, not an error of the rule: the
+    callers' own checks report them."""
+    assert not support_mask(np.full(8, np.nan)).any()

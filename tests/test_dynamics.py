@@ -149,6 +149,11 @@ def test_continuity_residual_needs_three_snapshots(grid, free_gauss):
         dyn.hydrodynamic_residuals(trace)
 
 
+def test_residuals_refuse_a_mask_eps_that_empties_every_mask(free_trace):
+    with pytest.raises(lm.PreconditionError, match=r"in \(0, 1\], got 2\.0"):
+        dyn.hydrodynamic_residuals(free_trace, 2.0)
+
+
 @pytest.mark.parametrize("times, message", [
     ([0.0, np.nan, 2e-3, 3e-3], "must increase, got a first step of nan"),
     ([1e-3, 1e-3, 1e-3, 1e-3], "must increase, got a first step of 0.0"),

@@ -89,6 +89,34 @@ def test_fft_round_trips_go_through_the_core_seam():
     assert fftfreq == 1
 
 
+def _scales_a_max(node) -> bool:
+    """node is `eps * y.max(...)` (either order)."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(side, ast.Call)
+                    and isinstance(side.func, ast.Attribute)
+                    and side.func.attr == "max"
+                    for side in (node.left, node.right)))
+
+
+def test_mask_rule_lives_in_core():
+    """Only core compares a weight with eps times its maximum, once, in
+    core.support_mask: every mask (rho, the evolve stacks, a lattice's
+    q-marginal and observable_distribution's bin support on the flattened
+    lattice) goes through that rule."""
+    found, in_core = [], 0
+    for name, tree in _trees():
+        rules = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Compare)
+                 and any(isinstance(op, ast.GtE) for op in node.ops)
+                 and any(map(_scales_a_max, node.comparators))]
+        if name == "core.py":
+            in_core = len(rules)
+        else:
+            found += ["%s:%d" % (name, line) for line in rules]
+    assert found == []
+    assert in_core == 1
+
+
 def test_threshold_messages_come_from_errors_only():
     """Every measured-value-versus-threshold message is built by
     errors.check, so no other module spells out "exceeds" or "tolerance"

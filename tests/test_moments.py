@@ -158,13 +158,13 @@ def test_both_square_densities_share_integral(any_state):
 
 def test_witness_zero_for_eigenstates_and_diagonal(grid512, gauss512):
     psi = make_state("plane_wave", grid512)
-    assert lm.density_inequality_witness(psi, mm.momentum_power(1)) < 1e-10
+    assert dense.density_inequality_witness(psi, mm.momentum_power(1)) < 1e-10
     g_obs = mm.position_function(np.tanh(grid512.q))
-    assert lm.density_inequality_witness(gauss512, g_obs) < 1e-10
+    assert dense.density_inequality_witness(gauss512, g_obs) < 1e-10
 
 
 def test_witness_gaussian_value(gauss512):
-    wit = lm.density_inequality_witness(gauss512, mm.momentum_power(1))
+    wit = dense.density_inequality_witness(gauss512, mm.momentum_power(1))
     assert wit == pytest.approx(0.5 * RHO0, abs=1e-8)
 
 
@@ -195,7 +195,7 @@ def test_c_and_s_local_values_coincide(any_state):
 
 
 def test_c_and_s_variances_differ_on_generic_states(gauss512):
-    assert lm.density_inequality_witness(gauss512, mm.momentum_power(1)) > 1e-3
+    assert dense.density_inequality_witness(gauss512, mm.momentum_power(1)) > 1e-3
 
 
 def test_variance_decomposition_gaussian(gauss512):
