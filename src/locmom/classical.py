@@ -181,14 +181,13 @@ def observable_distribution(F: QuasiDistribution, a: np.ndarray,
                                   mask=conditional.mask)
 
 
-def classical_variance_decomposition(F: QuasiDistribution, a: np.ndarray,
-                                     eps_factor: float = DEFAULT_MASK_EPS
+def classical_variance_decomposition(F: QuasiDistribution, a: np.ndarray
                                      ) -> VarianceDecomposition:
     """Exact split of sigma^2_a; both components nonnegative to roundoff.
 
-    core.split_total_variance runs over every column with P(q) > 0 (not
-    just the display mask, so eps_factor is not read): the discrete law of
-    total variance is then an algebraic identity, exact to roundoff."""
+    core.split_total_variance runs over every column with P(q) > 0: the
+    discrete law of total variance is then an algebraic identity, exact to
+    roundoff."""
     _check_density(F)
     P = F.q_marginal()
     return split_total_variance("classical", F.grid.dq, P,

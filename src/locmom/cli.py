@@ -49,10 +49,11 @@ def _one_of(*values: str):
             lambda v: type(v) is str and v in values)
 
 
-# The profile commands peak at about 2.2 KB per grid point (tracemalloc,
-# n = 2**12..2**16), nearly all of it the W kernel's block of
-# phasespace.ROW_BLOCK correlation rows; 2**18 points keep that at 0.6 GB,
-# within the 1 GiB phasespace.N2_MEMORY_BUDGET.
+# The profile commands peak at about 0.7 KB per grid point (tracemalloc,
+# n = 2**12..2**16), most of it the CSV text of `moments --definition all`;
+# the W kernel adds O(n) and one block of phasespace.BLOCK_CELLS / 2
+# complex cells.  2**18 points keep that near 0.2 GB, within the 1 GiB
+# phasespace.N2_MEMORY_BUDGET.
 GRID_N_MAX = 2 ** 18
 _GRID_N = ("an integer at most %d" % GRID_N_MAX,
            lambda v: type(v) is int and v <= GRID_N_MAX)
@@ -93,7 +94,7 @@ class RunConfig:
     """The settings table, one field per setting."""
     grid_n: int = _setting(512, _GRID_N, _ALL,
                            "number of grid points; moments and decompose "
-                           "hold about 2.2 KB per point")
+                           "hold about 0.7 KB per point")
     q_min: float = _setting(-20.0, _NUMBER, _ALL, "left edge of the window")
     q_max: float = _setting(20.0, _NUMBER, _ALL, "right edge of the window")
     hbar: float = _setting(1.0, _POSITIVE, _ALL, "reduced Planck constant")

@@ -28,7 +28,7 @@ A trace is worked on in chunks of consecutive snapshots stacked as
 differences each run over a whole chunk at once, so that the cost per
 snapshot is the arithmetic on its rows and not a round of Python and
 FFT set-up.  Chunks hold max(1, CHUNK_ROWS // n) snapshots, which keeps
-the working set O(ROW_BLOCK * n) beyond the stored fields.  The checks
+the working set O(CHUNK_ROWS + n) beyond the stored fields.  The checks
 keep the order of a snapshot-by-snapshot pass: the first snapshot in time
 that fails raises the error of its first failing check.
 """
@@ -44,7 +44,7 @@ from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    spectral_multiply, support_mask)
 from .errors import PreconditionError, SelfCheckError, check
 from .moments import moment_densities, momentum_power
-from .phasespace import ROW_BLOCK, wigner_moment_density_stack
+from .phasespace import wigner_moment_density_stack
 
 STABILITY_LIMIT = 0.5
 
@@ -187,7 +187,7 @@ WIGNER_MOMENT_DENSITY_TOL = 1e-8
 # Snapshot rows (snapshots x grid points) that hydrodynamic_residuals
 # works on at once, beyond the fields it stores: a chunk holds
 # max(1, CHUNK_ROWS // n) snapshots.
-CHUNK_ROWS = 16 * ROW_BLOCK
+CHUNK_ROWS = 4096
 
 
 def _checked_fields(snapshots, g: GridSpec, out: np.ndarray) -> None:
@@ -248,7 +248,7 @@ def hydrodynamic_residuals(trace: EvolutionTrace,
     raises.  The centred time differences then run over the interior
     times of each chunk at once, reading one stored snapshot beyond the
     chunk on each side.  Beyond the stored 6 T n floats the working set
-    is O(ROW_BLOCK n)."""
+    is O(CHUNK_ROWS + n)."""
     dt = _require_uniform_stride(trace)
     g = trace.snapshots[0].grid
     mass = g.mass

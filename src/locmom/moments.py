@@ -276,7 +276,9 @@ def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
     dq = psi.grid.dq
     check("probability outside the rho mask", np.sum(rho[~mask]) * dq, 1e-8,
           PreconditionError, hint="the decomposition is unreliable")
-    mean = global_average(psi, A)
+    # W's first density is not bitwise S's; its split keeps the S mean
+    mean = (global_average(psi, A) if definition == "W"
+            else float(np.sum(first) * dq))
     if A.kind != "position_function":
         return split_total_variance(definition, dq, rho, first, second, mask,
                                     mean)

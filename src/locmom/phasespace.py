@@ -69,8 +69,8 @@ fill one preallocated float n x n result N2_ROW_BLOCK q rows at a time
   the largest deviation once; the two pipelines share no step.
 
 The n x n routes refuse, before any n x n allocation, an n whose estimated
-peak memory exceeds N2_MEMORY_BUDGET; the kernel route holds
-O(ROW_BLOCK * n) and needs no budget.
+peak memory exceeds N2_MEMORY_BUDGET; the kernel route holds one block of
+BLOCK_CELLS / 2 complex cells beyond O(n) and needs no budget.
 """
 
 from __future__ import annotations
@@ -100,8 +100,13 @@ WIGNER_BYTES_PER_CELL = 12
 MH_BYTES_PER_CELL = 17
 CONDITIONAL_BYTES_PER_CELL = 14
 
-# Rows of the correlation product held at once by wigner_moment_density_stack.
-ROW_BLOCK = 256
+# Correlation cells (q rows x n offsets) per block of
+# wigner_moment_density_stack, which holds their half s <= 0, 512 KB:
+# BLOCK_CELLS // n q rows (32 at n = 2048), or whole rows of a stack of
+# small-n states.  Of 2**14..2**19, 2**16 was within 5% of the fastest at
+# every n = 512..8192 and on stacks of 33 x 128 and 17 x 256 states; 2**18
+# took 1.3 to 1.6 times as long at n >= 2048 (2-vCPU Xeon, 4 MB of L2).
+BLOCK_CELLS = 2 ** 16
 # q rows per block of the n x n routes: a block of 32 rows stays in cache
 # at n = 2048 (1 MB of complex cells), where 256-row blocks of the
 # Margenau-Hill table product took 1.5 times as long.
@@ -218,13 +223,16 @@ def _correlation_blocks(amps: np.ndarray, wrap: np.ndarray, rows: int):
     one buffer, overwritten by the next block."""
     m, n = amps.shape
     half = n // 2
+    conjugates = _windows(np.conj(amps), wrap)
     windows = _windows(amps, wrap)
-    buffer = np.empty(rows * (half + 1), dtype=complex)
+    # the first block is the largest
+    buffer = np.empty(min(m, max(1, rows // n)) * min(rows, n) * (half + 1),
+                      dtype=complex)
     for r, q in _row_blocks(m, n, rows):
         shape = (r.stop - r.start, q.stop - q.start, half + 1)
         c = buffer[:math.prod(shape)].reshape(shape)
-        np.conjugate(windows[r, q, :half + 1], out=c)
-        c *= windows[r, q, n:half - 1:-1]
+        np.multiply(conjugates[r, q, :half + 1], windows[r, q, n:half - 1:-1],
+                    out=c)
         yield r, q, c
 
 
@@ -297,11 +305,11 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
     conj(psi(q + y/2)) psi(q - y/2) at y = 0.  As c_i(-s) = conj(c_i(s))
     and K is the transform of a real sequence, the columns s = -n/2+1..-1
     count twice in place of s = 1..n/2-1, leaving s = -n/2..0, the blocks
-    of _correlation_blocks.  K is built once and the stack padded once
-    per call.  The (row, q) correlation rows go ROW_BLOCK at a time, whole
-    rows of the stack together when n is at most ROW_BLOCK, so the peak
-    memory is O(ROW_BLOCK * n) beyond the padded stack and no n x n array
-    is built.
+    of _correlation_blocks.  K is built once and the stack and its
+    conjugate padded once per call.  The (row, q) correlation rows go
+    BLOCK_CELLS // n at a time, whole rows of the stack together when n^2
+    is at most BLOCK_CELLS, so the peak memory is about BLOCK_CELLS / 2
+    complex cells beyond the padded stacks and no n x n array is built.
     """
     norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1) * grid.dq)
     wrap, allowed, edge = _pad_modes(amps)
@@ -321,7 +329,8 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
     # interleaved (real, imag) views of conj(K) and the correlation block
     kernel = np.conj(K).view(float)
     out = np.empty((len(orders), valid, grid.n))
-    for r, q, c in _correlation_blocks(amps[:valid], wrap[:valid], ROW_BLOCK):
+    for r, q, c in _correlation_blocks(amps[:valid], wrap[:valid],
+                                       max(1, BLOCK_CELLS // grid.n)):
         block = kernel @ c.reshape(-1, half + 1).view(float).T
         out[:, r, q] = block.reshape(len(orders), *c.shape[:2])
     return out, error

@@ -8,7 +8,7 @@ import locmom as lm
 from locmom import dynamics as dyn
 from locmom import moments as mm
 from locmom.core import spatial_derivative
-from locmom.phasespace import ROW_BLOCK
+from locmom.phasespace import BLOCK_CELLS
 
 from conftest import GAUSS, density
 
@@ -289,8 +289,8 @@ def test_barrier_evolution_preserves_norm(grid, free_gauss):
 # ---------------------------------------------------------------------------
 # the chunked residual pass against the per-snapshot reference
 
-# (n, half-width of the window): n = 1024 exceeds ROW_BLOCK, so one
-# snapshot spans several kernel blocks
+# (n, half-width of the window): at n = 1024 a kernel block holds
+# BLOCK_CELLS // n = 64 q rows, so one snapshot spans several blocks
 RESIDUAL_GRIDS = ((128, 16.0), (256, 16.0), (1024, 64.0))
 
 
@@ -383,9 +383,9 @@ def test_residual_errors_come_in_time_order(failing_barrier_trace):
     (256, 16.0, 401, 8.01e6), (1024, 64.0, 101, 9.22e6)])
 def test_residual_pass_peak_memory(n, half, count, before):
     """Beyond the six stored fields, the pass holds one kernel block of
-    ROW_BLOCK complex correlation rows and at most 16 complex arrays of
-    one chunk: O(ROW_BLOCK n), as CHUNK_ROWS <= ROW_BLOCK n.  `before` is
-    the peak of the per-snapshot pass it replaced."""
+    BLOCK_CELLS // n complex correlation rows and at most 16 complex
+    arrays of one chunk: O(CHUNK_ROWS + n).  `before` is the peak of the
+    per-snapshot pass it replaced."""
     grid = lm.make_grid(n, -half, half)
     trace = dyn.split_step_propagate(lm.synthesize(GAUSS, grid),
                                      _potential("barrier", grid),
@@ -397,6 +397,6 @@ def test_residual_pass_peak_memory(n, half, count, before):
     finally:
         tracemalloc.stop()
     fields = 6 * count * n * 8
-    block = ROW_BLOCK * (n // 2 + 1) * 16
+    block = BLOCK_CELLS // n * (n // 2 + 1) * 16
     chunk = 16 * dyn.CHUNK_ROWS * 16
     assert peak <= fields + block + chunk <= before

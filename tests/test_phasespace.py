@@ -100,7 +100,8 @@ def kernel_tolerance(psi, order):
     return 16 * np.finfo(float).eps * np.max(psi.rho()) * p_max ** order
 
 
-# n = 200 is one partial row block; n = 600 ends in one
+# BLOCK_CELLS // n q rows per block: n = 200 is one block, n = 512 four
+# whole blocks, and n = 600 ends in a partial block
 @pytest.mark.parametrize("n", [200, 512, 600])
 @pytest.mark.parametrize("name", CORPUS)
 def test_wigner_moment_densities_match_the_transform(n, name):
@@ -138,6 +139,32 @@ def test_wigner_moment_densities_match_the_transform_on_superpositions(
             W.moment_densities((1, 2))):
         dev = np.max(np.abs(density - reference))
         assert dev < kernel_tolerance(psi, order), (order, dev)
+
+
+@pytest.mark.parametrize("n, half, count", [(1000, 32.0, 3), (128, 16.0, 9)])
+def test_wigner_moment_density_stack_matches_the_transform_across_blocks(
+        n, half, count):
+    """Each row of the kernel's densities against its own transform's, on
+    stacks of evolve snapshots whose last block is partial: q rows of one
+    state (n = 1000, blocks of 65 rows), and whole states several to a
+    block (n = 128, blocks of 4 states)."""
+    rows = ps.BLOCK_CELLS // n
+    per_block = rows // n
+    assert (n % rows if rows < n
+            else count > per_block > 1 and count % per_block)
+    grid = lm.make_grid(n, -half, half)
+    trace = lm.split_step_propagate(lm.synthesize(GAUSS, grid),
+                                    lm.harmonic_potential(grid, 1.0),
+                                    lm.PropagationConfig(1e-4, count - 1, 1))
+    amps = np.stack([psi.amp for psi in trace.snapshots])
+    orders = (1, 2, 3, 4)
+    densities, error = ps.wigner_moment_density_stack(amps, grid, orders)
+    assert error is None and densities.shape == (4, count, n)
+    for r, psi in enumerate(trace.snapshots):
+        references = lm.wigner_transform(psi).moment_densities(orders)
+        for k, (order, reference) in enumerate(zip(orders, references)):
+            dev = np.max(np.abs(densities[k, r] - reference))
+            assert dev < kernel_tolerance(psi, order), (r, order, dev)
 
 
 def test_wigner_moment_densities_reject_corrupt_edge(grid512):
@@ -184,8 +211,10 @@ def test_W_moment_densities_peak_stays_within_a_row_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one complex block of ROW_BLOCK full rows; the transform takes 134 MB
-    assert peak <= ps.ROW_BLOCK * n * 16
+    # BLOCK_CELLS complex cells, for the half block held and the other
+    # O(n) arrays, plus the padded state and its conjugate, 2 n complex
+    # each (1.18 MB in all; 256-row blocks took 4.5 MB, the transform 134 MB)
+    assert peak <= ps.BLOCK_CELLS * 16 + 2 * (2 * n) * 16
 
 
 # ---------------------------------------------------------------------------
