@@ -10,10 +10,14 @@ quantum definitions.
 
 An observable a(q, p) is an array that broadcasts to the lattice.
 classical_local_moment is the general n x n route for any a.  The bridge
-reads a = p off the lattice as the quantum side does
-(QuasiDistribution.moment_densities), with no n x n temporary.  Masks,
-quotients and the decomposition go through the same core layer as the
-quantum definitions.
+reads P(q) and the densities of p and p^2 off the lattice in one pass,
+as the quantum side reads its moments (QuasiDistribution.
+moment_densities, a row block at a time, order 0 the q-marginal), with
+no n x n temporary.  wigner_as_classical finds the lowest cell of the
+transform it has just built and clips it in place in one pass of
+N2_ROW_BLOCK rows at a time, then renormalizes it.  Masks, quotients and
+the decomposition go through the same core layer as the quantum
+definitions.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile,
                    split_total_variance, support_mask, variance_profile)
 from .errors import PreconditionError, check
 from .moments import MOMENT_ORDER_CAP
-from .phasespace import QuasiDistribution, wigner_pgrid, wigner_transform
+from .phasespace import (N2_ROW_BLOCK, QuasiDistribution, wigner_pgrid,
+                         wigner_transform)
 from .states import Gaussian, StateRecipe, synthesize
 
 BIN_SUPPORT_EPS = 1e-12
@@ -214,10 +219,17 @@ def wigner_as_classical(recipe: StateRecipe, grid: GridSpec,
             "Wigner not nonnegative for %s states; only gaussian recipes "
             "yield a classical density" % type(recipe).__name__)
     W = wigner_transform(synthesize(recipe, grid) if psi is None else psi)
+    # the transform is fresh and ours: find its lowest cell and clip it in
+    # place a row block at a time, then renormalize; np.minimum propagates
+    # NaN, so a NaN cell fails the check
+    values = W.values
+    lowest = np.inf
+    for start in range(0, grid.n, N2_ROW_BLOCK):
+        rows = values[start:start + N2_ROW_BLOCK]
+        lowest = np.minimum(lowest, rows.min())
+        np.clip(rows, 0.0, None, out=rows)
     check("Wigner of a gaussian, depth of its lowest cell below zero",
-          -W.values.min(), WIGNER_CLIP_TOL, PreconditionError)
-    # the transform is fresh and ours: clip and renormalize it in place
-    values = np.clip(W.values, 0.0, None, out=W.values)
+          -lowest, WIGNER_CLIP_TOL, PreconditionError)
     values /= values.sum() * grid.dq * W.dp
     return replace(W, kind="classical")
 
@@ -227,10 +239,11 @@ def classical_pipeline_profiles(F: QuasiDistribution,
                                 eps_factor: float = DEFAULT_MASK_EPS
                                 ) -> tuple[RealProfile, RealProfile]:
     """Classical conditional mean and variance of p for the bridge check,
-    masked by the quantum state's rho threshold; the densities of p and
-    p^2 come from one pass over the lattice (F.moment_densities)."""
+    masked by the quantum state's rho threshold; P(q) and the densities
+    of p and p^2 come from one pass over the lattice
+    (F.moment_densities, order 0 the q-marginal)."""
     _check_density(F)
-    m1, m2 = local_quotients(F.grid, F.q_marginal(),
-                             F.moment_densities((1, 2)), eps_factor)
+    P, first, second = F.moment_densities((0, 1, 2))
+    m1, m2 = local_quotients(F.grid, P, (first, second), eps_factor)
     mask = psi.mask(eps_factor) & m1.mask
     return replace(m1, mask=mask), replace(variance_profile(m1, m2), mask=mask)

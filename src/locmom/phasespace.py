@@ -12,11 +12,11 @@ transforms are the independent phase-space route and the ``distribution``
 output: the Wigner transform's moment densities are the oracle for that
 kernel, and the Margenau-Hill transform the one that the closed-form MH
 densities and the Bayes product are checked against.  The moment
-densities of any lattice (W, MH or classical) come from one product of
-its values with the columns pgrid^order (QuasiDistribution.
-moment_densities).  This module builds
-on ``core`` only; the local moments and variances built from these
-densities live in ``moments``.
+densities of any lattice (W, MH or classical) come from the product of
+its values with the columns pgrid^order, a row block at a time
+(QuasiDistribution.moment_densities).  This module builds on ``core``
+only; the local moments and variances built from these densities live in
+``moments``.
 
 Grid conventions
 ----------------
@@ -41,32 +41,43 @@ The Margenau-Hill transform lives on the standard momentum grid:
     F_MH(q, p) = Re[ phi(p) conj(psi(q)) e^{i p q/hbar} ] / sqrt(2*pi*hbar).
 
 Both transforms may be negative; each distribution exposes its minimum cell
-and location as first-class metadata.
+and a location of it as first-class metadata (QuasiDistribution.min_cell).
 
 Row blocks
 ----------
 The three n x n routes (Wigner, Margenau-Hill, the conditional P_S(p|q))
 fill one preallocated float n x n result N2_ROW_BLOCK q rows at a time
-(_row_blocks); no n x n complex array is built.
+(_row_blocks), writing each row once; no n x n complex array is built.
+The Bayes check and the lattice moment densities read each row once in
+blocks of the same size, as does the lowest-cell check and clip of the
+classical bridge (module ``classical``).
 
 * Hermitian half.  The correlation row c_i(s) and the characteristic
-  function G(s, q) satisfy x(-s) = conj(x(s)), and at s = -n/2 the row
-  is 0 (zero-padded) or real (wrapped), so the offsets s = -n/2..0 carry
-  the whole row, and one irfft per row over them gives it on the
-  ascending p grid (_hermitian_rows).  The Wigner transform and the
-  moment-density kernel read the same correlation blocks
-  (_correlation_blocks); the kernel multiplies them by K, the transform
-  irfft's them.
+  function G(s, q) satisfy x(-s) = conj(x(s)), and at s = +-n/2 the row
+  is 0 (zero-padded) or real (wrapped), so half the offsets carry the
+  whole row, and one irfft per row over them gives it on the ascending p
+  grid.  The conditional takes s = -n/2..0 and flips the sign of every
+  other output cell (_hermitian_rows); the moment-density kernel reads
+  the same half of the correlation (_correlation_blocks) and multiplies
+  it by K.  The Wigner transform takes s = 0..n/2 of the padded
+  amplitude rotated by i^P, which puts that sign on the correlation
+  itself, so each block is one product and one irfft into the result.
 * Root of unity.  On the grid q_j p_k/hbar = q_min p_k/hbar + 2 pi j k/n
   - pi j, so the Margenau-Hill phase factors into a row sign, a column
-  phase and omega^(j k mod n), read from a 1D table of omega = e^{2 pi i/n}
-  (_margenau_hill_blocks) instead of n^2 complex exponentials.
+  phase and omega^(j k), omega = e^{2 pi i/n}: a table of one block's
+  rows built once per call times one row of roots of unity per block
+  (_margenau_hill_blocks), with no n^2 exponentials or indices.
 * One reciprocal per row.  The conditional multiplies a row's shifts by
   1/(2 psi(q)) and zero-fills the rows too small for every cell to stay
   finite (conditional_momentum_S).
-* Bayes check.  bayes_product compares rho * P_S with the Margenau-Hill
-  rows block by block, reducing with NaN-propagating maxima, and checks
-  the largest deviation once; the two pipelines share no step.
+* Bayes check.  bayes_product fills rho * P_S into its result and
+  compares it with the Margenau-Hill rows block by block, through one
+  scratch block and NaN-propagating reductions, and checks the largest
+  deviation once.  The two pipelines share no step.
+* Lattice moments.  QuasiDistribution.moment_densities takes one
+  product of a row block with the columns pgrid^order at a time; these
+  stay on one thread, where one product of the whole lattice takes the
+  threaded BLAS path.
 
 The n x n routes refuse, before any n x n allocation, an n whose estimated
 peak memory exceeds N2_MEMORY_BUDGET; the kernel route holds one block of
@@ -93,8 +104,9 @@ BAYES_CELL_TOL = 1e-7
 N2_MEMORY_BUDGET = 2 ** 30
 # Peak bytes per cell: the float result (8) and the temporaries of one row
 # block of N2_ROW_BLOCK rows, whose share of the cells shrinks as n grows.
-# Rounded up from tracemalloc peaks at n = 256 (10.3, 15.3 and 12.3; 8.2,
-# 8.8 and 8.3 at n = 2048), so that the estimate bounds the peak from
+# Rounded up from tracemalloc peaks at n = 256 (11.4, 14.3 and 12.4, and
+# 15.4 for the Bayes check, which the Margenau-Hill estimate covers; 8.2,
+# 8.6, 8.3 and 8.7 at n = 2048), so that the estimate bounds the peak from
 # n = 256 on.
 WIGNER_BYTES_PER_CELL = 12
 MH_BYTES_PER_CELL = 17
@@ -111,6 +123,12 @@ BLOCK_CELLS = 2 ** 16
 # at n = 2048 (1 MB of complex cells), where 256-row blocks of the
 # Margenau-Hill table product took 1.5 times as long.
 N2_ROW_BLOCK = 32
+
+# Width, relative to max|values|, of the band above the minimum in which
+# QuasiDistribution.min_cell takes the first cell: far above the roundoff
+# of the n x n routes (below 2e-15 of the largest cell), far below any
+# difference the grid resolves.
+MIN_CELL_TIE = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -139,19 +157,28 @@ class QuasiDistribution:
         return float(self.values.sum() * self.grid.dq * self.dp)
 
     def min_cell(self) -> tuple[float, float, float]:
-        """Minimum cell value and its (q, p) location."""
-        flat = int(np.argmin(self.values))
-        i, k = divmod(flat, self.values.shape[1])
-        return float(self.values[i, k]), float(self.grid.q[i]), float(self.pgrid[k])
+        """Minimum cell value and a (q, p) location of it: the first cell
+        in row-major order within MIN_CELL_TIE * max|values| of the
+        minimum, so that roundoff, between routes or between cells equal
+        by symmetry, does not move it."""
+        values = self.values
+        low = float(values.min())
+        near = low + MIN_CELL_TIE * max(float(values.max()), -low)
+        i, k = divmod(int(np.argmax(values <= near)), values.shape[1])
+        return low, float(self.grid.q[i]), float(self.pgrid[k])
 
     def moment_densities(self, orders: tuple[int, ...]
                          ) -> tuple[np.ndarray, ...]:
         """sum_k pgrid_k^order values[i, k] dp per order: the densities in
         q of the momentum moments (p^order is the symbol of p_hat^order
         for both kernels, and the variable itself for a classical
-        density), from one pass over the lattice."""
+        density; order 0 gives the q-marginal), from one product of
+        each block of N2_ROW_BLOCK rows with the columns pgrid^order."""
         powers = self.pgrid[:, None] ** np.asarray(orders)
-        return tuple((self.values @ powers * self.dp).T)
+        out = np.empty((len(self.values), len(orders)))
+        for _, q in _row_blocks(1, len(out), N2_ROW_BLOCK):
+            np.matmul(self.values[q], powers, out=out[q])
+        return tuple((out * self.dp).T)
 
 
 def _require_memory_budget(grid: GridSpec, bytes_per_cell: int,
@@ -202,10 +229,9 @@ def _row_blocks(m: int, n: int, rows: int):
             yield r, slice(q0, min(q0 + q_rows, n))
 
 
-def _windows(amps: np.ndarray, wrap: np.ndarray) -> np.ndarray:
-    """Strided view w of the amplitude rows padded by n/2 per side,
-    periodically where wrap and with zeros elsewhere:
-    w[r, i, n/2 + s] = amps[r, i + s] for the offsets s = -n/2..n/2."""
+def _padded(amps: np.ndarray, wrap: np.ndarray) -> np.ndarray:
+    """The amplitude rows padded by n/2 per side, periodically where wrap
+    and with zeros elsewhere: padded[r, n/2 + i] = amps[r, i]."""
     m, n = amps.shape
     half = n // 2
     padded = np.zeros((m, 2 * n), dtype=complex)
@@ -213,7 +239,14 @@ def _windows(amps: np.ndarray, wrap: np.ndarray) -> np.ndarray:
     if wrap.any():
         padded[wrap, :half] = amps[wrap, n - half:]
         padded[wrap, half + n:] = amps[wrap, :half]
-    return sliding_window_view(padded, n + 1, axis=1)[:, :n]
+    return padded
+
+
+def _windows(padded: np.ndarray) -> np.ndarray:
+    """Strided view w of padded rows (_padded) along the last axis:
+    w[..., i, n/2 + s] = amps[..., i + s] for the offsets s = -n/2..n/2."""
+    n = padded.shape[-1] // 2
+    return sliding_window_view(padded, n + 1, axis=-1)[..., :n, :]
 
 
 def _correlation_blocks(amps: np.ndarray, wrap: np.ndarray, rows: int):
@@ -223,8 +256,8 @@ def _correlation_blocks(amps: np.ndarray, wrap: np.ndarray, rows: int):
     one buffer, overwritten by the next block."""
     m, n = amps.shape
     half = n // 2
-    conjugates = _windows(np.conj(amps), wrap)
-    windows = _windows(amps, wrap)
+    conjugates = _windows(_padded(np.conj(amps), wrap))
+    windows = _windows(_padded(amps, wrap))
     # the first block is the largest
     buffer = np.empty(min(m, max(1, rows // n)) * min(rows, n) * (half + 1),
                       dtype=complex)
@@ -256,8 +289,21 @@ def _hermitian_rows(blocks, scale: float, out: np.ndarray) -> None:
         rows[:, 1 - half % 2::2] *= -1.0
 
 
+# i^P for P mod 4: a product with it swaps the real and imaginary parts and
+# flips signs, so it is exact
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
+
+
 def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
-    """Weyl-Wigner distribution of the state on the half-spaced p grid."""
+    """Weyl-Wigner distribution of the state on the half-spaced p grid.
+
+    With u(P) = i^P psi(q_{P - n/2}) on the index P of the padded
+    amplitude (_padded), conj(u(P + s)) u(P - s) = (-1)^s conj(psi(q + s))
+    psi(q - s): the correlation with the factor e^{-i pi s} of the shift
+    to p_k = dp (k - n/2) already on it.  Its half s = 0..n/2 is the half
+    spectrum of W's row on the ascending k (x(-s) = conj(x(s)), x(n/2)
+    real), one irfft per row.  dq/(pi hbar) rides on the conjugated copy.
+    """
     require_normalized(psi)
     g = psi.grid
     _require_memory_budget(g, WIGNER_BYTES_PER_CELL, "Wigner transform")
@@ -265,10 +311,17 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
     wrap, allowed, edge = _pad_modes(amps)
     if not allowed[0]:
         raise _edge_failure(edge[0])
-    values = np.empty((g.n, g.n))
-    _hermitian_rows(((q, c[0]) for _, q, c in
-                     _correlation_blocks(amps, wrap, N2_ROW_BLOCK)),
-                    g.dq / (np.pi * g.hbar), values)
+    n, half = g.n, g.n // 2
+    padded = _padded(amps, wrap)[0]
+    padded *= _QUARTER_TURNS[np.arange(2 * n) % 4]
+    conjugates = _windows(np.conj(padded) * (g.dq / (np.pi * g.hbar)))
+    windows = _windows(padded)
+    values = np.empty((n, n))
+    buffer = np.empty((min(N2_ROW_BLOCK, n), half + 1), dtype=complex)
+    for _, q in _row_blocks(1, n, N2_ROW_BLOCK):
+        c = buffer[:q.stop - q.start]
+        np.multiply(conjugates[q, half:], windows[q, half::-1], out=c)
+        np.fft.irfft(c, n, norm="forward", out=values[q])
     pgrid, dp = wigner_pgrid(g)
     return QuasiDistribution(kind="weyl_wigner", grid=g, pgrid=pgrid,
                              dp=dp, values=values)
@@ -339,14 +392,16 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
 def _margenau_hill_blocks(psi: Wavefunction):
     """Check the state (normalization, then the memory budget) and return
     the generator of (q, z) per block of N2_ROW_BLOCK q rows, Re(z) the
-    Margenau-Hill cells of those rows; z is fresh per block.
+    Margenau-Hill cells of those rows; z is one buffer, overwritten by the
+    next block.
 
     On the grid q_j p_k/hbar = q_min p_k/hbar + 2 pi j k/n - pi j, so
-    F_MH[j, k] = Re(a_j b_k omega^(j k mod n)) with a_j = (-1)^j
-    conj(psi_j), b_k = phi_k e^{i q_min p_k/hbar}/sqrt(2 pi hbar) and the
-    1D table omega^m = e^{2 pi i m/n}.  The residues of j k are those of
-    the block's first row plus the fixed (r k) mod n of its row r, whose
-    sum indexes the table laid out over two turns."""
+    F_MH[j, k] = Re(a_j b_k omega^(j k)) with a_j = (-1)^j conj(psi_j),
+    b_k = phi_k e^{i q_min p_k/hbar}/sqrt(2 pi hbar) and omega =
+    e^{2 pi i/n}.  Row r of the block from j0 is a_j T[r] omega^(j0 k),
+    from the table T[r, k] = b_k omega^(r k), built once per call, and
+    one row of the roots of unity, read from their 1D table at the
+    residues j0 k mod n."""
     require_normalized(psi)
     g = psi.grid
     _require_memory_budget(g, MH_BYTES_PER_CELL, "Margenau-Hill transform")
@@ -360,13 +415,16 @@ def _margenau_hill_blocks(psi: Wavefunction):
     b = (momentum_representation(psi)
          * np.exp(2j * np.pi * (turns - np.round(turns)))
          / np.sqrt(2.0 * np.pi * g.hbar))
-    omega = np.tile(np.exp(2j * np.pi * np.arange(n) / n), 2)
-    residues = np.multiply.outer(np.arange(min(N2_ROW_BLOCK, n)), k) % n
+    omega = np.exp(2j * np.pi * k / n)
+    table = omega[np.multiply.outer(np.arange(min(N2_ROW_BLOCK, n)), k) % n]
+    table *= b
+    buffer = np.empty_like(table)
 
     def blocks():
         for _, q in _row_blocks(1, n, N2_ROW_BLOCK):
-            z = omega[residues[:q.stop - q.start] + q.start * k % n]
-            z *= b
+            rows = q.stop - q.start
+            z = buffer[:rows]
+            np.multiply(table[:rows], omega[q.start * k % n], out=z)
             z *= a[q, None]
             yield q, z
     return blocks()
@@ -418,7 +476,7 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
              / np.finfo(float).max)
     live = modulus >= bound
     reciprocal = quotient_on(live, 0.5, amp)[:, None]  # dead rows zeroed below
-    windows = _windows(amp[None, :], np.ones(1, dtype=bool))[0]
+    windows = _windows(_padded(amp[None, :], np.ones(1, dtype=bool)))[0]
 
     def blocks():
         # x(s) = G(-s, q) = psi(q - s)/(2 psi(q)) + conj(psi(q + s)/(2 psi(q)))
@@ -449,11 +507,16 @@ def bayes_product(psi: Wavefunction,
         raise PreconditionError("conditional distribution has wrong shape %s"
                                 % (conditional.shape,))
     blocks = _margenau_hill_blocks(psi)
-    values = psi.rho()[:, None] * conditional
+    rho = psi.rho()[:, None]
+    values = np.empty((g.n, g.n))
+    scratch = np.empty((min(N2_ROW_BLOCK, g.n), g.n))
     deviation = 0.0
     for q, z in blocks:
-        # np.max and np.maximum propagate NaN, so a NaN cell fails the check
-        deviation = np.maximum(deviation, np.max(np.abs(values[q] - z.real)))
+        rows = np.multiply(rho[q], conditional[q], out=values[q])
+        # max, min and np.maximum propagate NaN, so a NaN cell fails the
+        # check
+        d = np.subtract(z.real, rows, out=scratch[:q.stop - q.start])
+        deviation = np.maximum(deviation, np.maximum(d.max(), -d.min()))
     check("Bayes product, largest cell deviation from the Margenau-Hill "
           "distribution", deviation, BAYES_CELL_TOL, SelfCheckError)
     return QuasiDistribution(kind="margenau_hill", grid=g, pgrid=g.p,

@@ -236,6 +236,20 @@ def test_wigner_as_classical_peaks_within_the_wigner_estimate(bridge):
                        ) < psi.grid.n ** 2 * ps.WIGNER_BYTES_PER_CELL
 
 
+# n = 600 ends in a partial block of N2_ROW_BLOCK rows
+@pytest.mark.parametrize("cell", [(0, 0), (599, 599)],
+                         ids=["first-block", "last-partial-block"])
+def test_wigner_as_classical_fails_closed_on_a_nan_cell_in_any_block(
+        monkeypatch, cell):
+    grid = lm.make_grid(600, -20.0, 20.0)
+    psi = lm.synthesize(GAUSS, grid)
+    W = lm.wigner_transform(psi)
+    W.values[cell] = np.nan
+    monkeypatch.setattr(cl, "wigner_transform", lambda _: W)
+    with pytest.raises(lm.PreconditionError, match=": nan exceeds "):
+        cl.wigner_as_classical(GAUSS, grid, psi)
+
+
 def test_observables_are_read_only_views(gauss_density, grid):
     F = gauss_density
     for a in (cl.momentum_variable(F),

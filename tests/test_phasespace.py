@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,6 +87,32 @@ def test_wigner_rejects_corrupt_edge(grid512):
     psi = lm.normalize(lm.Wavefunction(grid512, amp))
     with pytest.raises(lm.PreconditionError, match="edge-decay"):
         lm.wigner_transform(psi)
+
+
+# The Gaussian's lowest cells are roundoff below zero and the cat's come in
+# pairs equal by symmetry in p: argmin alone picks a different cell on each
+# route for both states
+@pytest.mark.parametrize("n,state", [(512, GAUSS), (600, TWO_GAUSS)],
+                         ids=["gaussian-512", "cat-600"])
+def test_min_cell_location_does_not_follow_the_route(n, state):
+    grid = lm.make_grid(n, -20.0, 20.0)
+    psi = lm.synthesize(state, grid)
+    W = lm.wigner_transform(psi)
+    full = replace(W, values=wigner_full(grid, psi.amp, periodic=False))
+    value, q, p = W.min_cell()
+    assert value == W.values.min()
+    assert (q, p) == full.min_cell()[1:]
+
+
+def test_min_cell_takes_the_first_cell_within_the_tie_band():
+    grid = lm.make_grid(8, -4.0, 4.0)
+    pgrid, dp = ps.wigner_pgrid(grid)
+    values = np.ones((8, 8))
+    values[1, 1] = -1.0 + 1e-6  # outside the band
+    values[2, 6] = -1.0 + 1e-15  # inside it, and first in row-major order
+    values[5, 1] = -1.0
+    F = ps.QuasiDistribution("weyl_wigner", grid, pgrid, dp, values)
+    assert F.min_cell() == (-1.0, grid.q[2], pgrid[6])
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +277,29 @@ def test_mh_superposition_negativity():
 
 # ---------------------------------------------------------------------------
 # Phase-space local moments and variances
+
+
+def dot_bound(F, powers):
+    """n eps sum_k |values[i, k]| |powers[k]| dp per row and column of
+    powers: the roundoff bound of a sum of n products, in any order."""
+    n = F.values.shape[1]
+    return (n * np.finfo(float).eps * (np.abs(F.values) @ np.abs(powers))
+            * F.dp).T
+
+
+# N2_ROW_BLOCK = 32 rows per block: n = 200 and 600 end in a partial block
+@pytest.mark.parametrize("n", [200, 600])
+@pytest.mark.parametrize("name", CORPUS)
+def test_lattice_moment_densities_equal_the_whole_array_product(n, name):
+    psi = make_state(name, lm.make_grid(n, -20.0, 20.0))
+    orders = (0, 1, 2)
+    for F in (lm.wigner_transform(psi), lm.margenau_hill_transform(psi)):
+        powers = F.pgrid[:, None] ** np.asarray(orders)
+        blocked = np.array(F.moment_densities(orders))
+        bound = 2.0 * dot_bound(F, powers)
+        assert np.all(np.abs(blocked - (F.values @ powers * F.dp).T)
+                      <= bound), F.kind
+        assert np.all(np.abs(blocked[0] - F.q_marginal()) <= bound[0]), F.kind
 
 
 def test_mh_first_moment_equals_S(gauss512):
@@ -493,6 +543,17 @@ def test_bayes_product_flags_nan_cell(gauss512):
     P[200, 256] = np.nan
     with pytest.raises(lm.SelfCheckError, match="Bayes"):
         lm.bayes_product(gauss512, P)
+
+
+# n = 600 ends in a partial block of N2_ROW_BLOCK rows
+@pytest.mark.parametrize("cell", [(0, 0), (599, 599)],
+                         ids=["first-block", "last-partial-block"])
+def test_bayes_product_fails_closed_on_a_nan_cell_in_any_block(cell):
+    psi = lm.synthesize(GAUSS, lm.make_grid(600, -20.0, 20.0))
+    P = lm.conditional_momentum_S(psi)
+    P[cell] = np.nan
+    with pytest.raises(lm.SelfCheckError, match="Bayes.*: nan exceeds "):
+        lm.bayes_product(psi, P)
 
 
 # A Gaussian cannot be both resolved (s >= dq) and decayed at the window
