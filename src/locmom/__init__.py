@@ -5,8 +5,7 @@ checks under split-operator time evolution."""
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    apply_momentum_power, integrate, make_grid,
-                   momentum_representation, momentum_to_position, normalize,
-                   spatial_derivative)
+                   momentum_representation, normalize, spatial_derivative)
 from .errors import (ConfigError, LocmomError, PreconditionError,
                      SelfCheckError)
 from .moments import (LocalProfile, ObservableSpec, VarianceDecomposition,
@@ -20,11 +19,8 @@ from .phasespace import (QuasiDistribution, bayes_product,
                          conditional_momentum_S, margenau_hill_transform,
                          wigner_moment_densities, wigner_moment_density_stack,
                          wigner_transform)
-from .classical import (ObservableDistribution, classical_local_moment,
-                        classical_local_variance,
-                        classical_variance_decomposition, gaussian_density,
-                        momentum_variable, observable_distribution,
-                        position_variable, wigner_as_classical)
+from .classical import (classical_variance_decomposition, gaussian_density,
+                        momentum_variable, wigner_as_classical)
 from .dynamics import (EvolutionTrace, Potential, PropagationConfig,
                        free_potential, gaussian_barrier, harmonic_potential,
                        hydrodynamic_residuals, kinetic_energy_densities,

@@ -1,5 +1,5 @@
-"""Classical phase-space reference: local moments, observable distributions,
-Bayes' rule, and the exact classical variance decomposition.
+"""Classical phase-space reference: local moments, Bayes' rule, and the
+exact classical variance decomposition.
 
 A classical density is a phasespace.QuasiDistribution of kind "classical"
 that is a genuine (nonnegative, normalized) probability density F(q, p),
@@ -8,63 +8,44 @@ bridge comparison is a pointwise array comparison.  All classical local
 variances are nonnegative, which is the structural contrast with the
 quantum definitions.
 
-An observable a(q, p) is an array that broadcasts to the lattice.
-classical_local_moment is the general n x n route for any a.  The bridge
-reads P(q) and the densities of p and p^2 off the lattice in one pass,
-as the quantum side reads its moments (QuasiDistribution.
+An observable a(q, p) is an array that broadcasts to the lattice;
+classical_variance_decomposition splits the variance of any such a.  The
+bridge reads P(q) and the densities of p and p^2 off the lattice in one
+pass, as the quantum side reads its moments (QuasiDistribution.
 moment_densities, a row block at a time, order 0 the q-marginal), with
-no n x n temporary.  wigner_as_classical finds the lowest cell of the
-transform it has just built and clips it in place in one pass of
-N2_ROW_BLOCK rows at a time, then renormalizes it.  Masks, quotients and
-the decomposition go through the same core layer as the quantum
-definitions.
+no n x n temporary.  The general n x n route to the local moments of any
+a is the test oracle's (tests/dense_oracle.py), and the bridge is checked
+against it.  wigner_as_classical finds the lowest cell of the transform
+it has just built and clips it in place in one pass of N2_ROW_BLOCK rows
+at a time, then renormalizes it.  Masks, quotients and the decomposition
+go through the same core layer as the quantum definitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile,
                    VarianceDecomposition, Wavefunction, local_quotients,
-                   split_total_variance, support_mask, variance_profile)
+                   split_total_variance, variance_profile)
 from .errors import PreconditionError, check
-from .moments import MOMENT_ORDER_CAP
 from .phasespace import (N2_ROW_BLOCK, QuasiDistribution, wigner_pgrid,
                          wigner_transform)
 from .states import Gaussian, StateRecipe, synthesize
-
-BIN_SUPPORT_EPS = 1e-12
 
 # Depth below zero down to which wigner_as_classical clips Wigner cells.
 WIGNER_CLIP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ObservableDistribution:
-    """Histogram realization of P(a), P(a,q) and P(a|q).
-
-    edges are right-open bins with the top edge closed; out-of-range values
-    (possible only below the support threshold) are clipped into the end
-    bins, so the total mass is preserved exactly.  joint[b, j] is the
-    density P(a_b, q_j); conditional rows are defined only where mask[j].
-    """
-
-    edges: np.ndarray
-    centers: np.ndarray
-    da: float
-    joint: np.ndarray
-    marginal: np.ndarray
-    conditional: np.ndarray
-    mask: np.ndarray
-
-
-def _check_density(F: QuasiDistribution) -> None:
+def _check_density(F: QuasiDistribution, P: np.ndarray) -> None:
+    """F is nonnegative and normalized; P is its q-marginal, which the
+    caller holds already and which gives the total as sum(P) dq."""
     check("classical density, depth of its lowest cell below zero",
           -F.values.min(), 0.0, PreconditionError)
-    check("classical density, |total - 1|", abs(F.total() - 1.0), 1e-10,
-          PreconditionError)
+    check("classical density, |total - 1|",
+          abs(float(P.sum() * F.grid.dq) - 1.0), 1e-10, PreconditionError)
 
 
 def gaussian_density(grid: GridSpec, mean_q: float, mean_p: float,
@@ -92,100 +73,6 @@ def momentum_variable(F: QuasiDistribution) -> np.ndarray:
     return np.broadcast_to(F.pgrid[None, :], F.values.shape)
 
 
-def position_variable(F: QuasiDistribution, g: np.ndarray) -> np.ndarray:
-    """a(q, p) = g(q), p-independent, a read-only broadcast of g."""
-    return np.broadcast_to(np.asarray(g, dtype=float)[:, None],
-                           F.values.shape)
-
-
-def _densities(F: QuasiDistribution, a: np.ndarray,
-               orders: tuple[int, ...]) -> list[np.ndarray]:
-    """sum_k a^k F dp per order k: the densities in q of a's moments."""
-    return [(a ** k * F.values).sum(axis=1) * F.dp for k in orders]
-
-
-def _local_moments(F: QuasiDistribution, a: np.ndarray,
-                   orders: tuple[int, ...], eps_factor: float) -> tuple:
-    _check_density(F)
-    return local_quotients(F.grid, F.q_marginal(), _densities(F, a, orders),
-                           eps_factor)
-
-
-def classical_local_moment(F: QuasiDistribution, a: np.ndarray, order: int,
-                           eps_factor: float = DEFAULT_MASK_EPS) -> RealProfile:
-    """n-th conditional moment of a given q: (sum_k a^n F dp) / P(q)."""
-    if not 1 <= order <= MOMENT_ORDER_CAP:
-        raise PreconditionError("moment order must be in 1..%d, got %d"
-                                % (MOMENT_ORDER_CAP, order))
-    return _local_moments(F, a, (order,), eps_factor)[0]
-
-
-def classical_local_variance(F: QuasiDistribution, a: np.ndarray,
-                             eps_factor: float = DEFAULT_MASK_EPS) -> RealProfile:
-    """Conditional variance of a given q; a true variance, nonnegative."""
-    return variance_profile(*_local_moments(F, a, (1, 2), eps_factor))
-
-
-def observable_distribution(F: QuasiDistribution, a: np.ndarray,
-                            bin_count: int,
-                            eps_factor: float = DEFAULT_MASK_EPS
-                            ) -> ObservableDistribution:
-    """Histogram P(a), P(a,q), P(a|q): each lattice cell deposits F*dq*dp
-    into the bin containing a(q_j, p_k).
-
-    Bin centers span the support-weighted range of a (cells with
-    F < 1e-12 * max F are ignored when choosing the range, then clipped
-    into the end bins), so the resolution follows the occupied region
-    rather than extreme a-values of negligible weight.  Sampled observables
-    take values on a lattice of their own (a = p is quantized in steps of
-    dp); when the requested bins would under-resolve that value lattice,
-    the count of lattice values per bin oscillates and the histogram
-    density picks up O(1) jitter.  The bin width is therefore snapped to an
-    integer multiple of the detected value quantum and the edges
-    phase-aligned so every interior bin holds the same number of values.
-    """
-    if bin_count < 16:
-        raise PreconditionError("bin_count must be >= 16, got %d" % bin_count)
-    _check_density(F)
-    a = np.broadcast_to(a, F.values.shape)
-    # the rule over the whole lattice, not per q row
-    support = support_mask(F.values.ravel(), BIN_SUPPORT_EPS)
-    levels = np.unique(a[support.reshape(a.shape)])
-    a_lo, a_hi = float(levels[0]), float(levels[-1])
-    if a_hi == a_lo:
-        # constant observable: one occupied bin of unit width around it
-        da = 1.0
-        centers = a_lo + da * (np.arange(bin_count) - bin_count // 2)
-    else:
-        raw = (a_hi - a_lo) / (bin_count - 1)
-        quantum = float(np.median(np.diff(levels)))
-        if quantum > 0 and raw < 32.0 * quantum:
-            mult = int(np.ceil(raw / quantum - 1e-9))
-            da = mult * quantum
-            start = a_lo + 0.5 * (mult - 1) * quantum
-        else:
-            da = raw
-            start = a_lo
-        centers = start + da * np.arange(bin_count)
-    edges = np.concatenate([centers - 0.5 * da, [centers[-1] + 0.5 * da]])
-
-    n = F.grid.n
-    b = np.clip(np.floor((a - edges[0]) / da).astype(int), 0,
-                bin_count - 1)
-    # one bincount over the flattened (bin, q) cells: a density in (a, q)
-    joint = np.bincount((b * n + np.arange(n)[:, None]).ravel(),
-                        (F.values * F.dp / da).ravel(),
-                        bin_count * n).reshape(bin_count, n)
-
-    marginal = joint.sum(axis=1) * F.grid.dq
-    (conditional,) = local_quotients(F.grid, F.q_marginal(), [joint],
-                                     eps_factor)
-    return ObservableDistribution(edges=edges, centers=centers, da=da,
-                                  joint=joint, marginal=marginal,
-                                  conditional=conditional.values,
-                                  mask=conditional.mask)
-
-
 def classical_variance_decomposition(F: QuasiDistribution, a: np.ndarray
                                      ) -> VarianceDecomposition:
     """Exact split of sigma^2_a; both components nonnegative to roundoff.
@@ -193,10 +80,11 @@ def classical_variance_decomposition(F: QuasiDistribution, a: np.ndarray
     core.split_total_variance runs over every column with P(q) > 0: the
     discrete law of total variance is then an algebraic identity, exact to
     roundoff."""
-    _check_density(F)
     P = F.q_marginal()
-    return split_total_variance("classical", F.grid.dq, P,
-                                *_densities(F, a, (1, 2)), P > 0.0)
+    _check_density(F, P)
+    first, second = ((a ** k * F.values).sum(axis=1) * F.dp for k in (1, 2))
+    return split_total_variance("classical", F.grid.dq, P, first, second,
+                                P > 0.0)
 
 
 def direct_classical_variance(F: QuasiDistribution, a: np.ndarray) -> float:
@@ -242,8 +130,8 @@ def classical_pipeline_profiles(F: QuasiDistribution,
     masked by the quantum state's rho threshold; P(q) and the densities
     of p and p^2 come from one pass over the lattice
     (F.moment_densities, order 0 the q-marginal)."""
-    _check_density(F)
     P, first, second = F.moment_densities((0, 1, 2))
+    _check_density(F, P)
     m1, m2 = local_quotients(F.grid, P, (first, second), eps_factor)
     mask = psi.mask(eps_factor) & m1.mask
     return replace(m1, mask=mask), replace(variance_profile(m1, m2), mask=mask)

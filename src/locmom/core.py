@@ -174,14 +174,6 @@ def _momentum_representation_wrapped(psi: Wavefunction) -> np.ndarray:
     return g.dq / np.sqrt(2.0 * np.pi * g.hbar) * phase * np.fft.fft(psi.amp)
 
 
-def momentum_to_position(grid: GridSpec, phi: np.ndarray) -> np.ndarray:
-    """Inverse of momentum_representation; phi on the ascending grid."""
-    phi_wrapped = np.fft.ifftshift(np.asarray(phi, dtype=complex))
-    phase = np.exp(1j * grid.p_wrapped * grid.q_min / grid.hbar)
-    spectrum = phi_wrapped * phase / (grid.dq / np.sqrt(2.0 * np.pi * grid.hbar))
-    return np.fft.ifft(spectrum)
-
-
 def apply_momentum_power(psi: Wavefunction, n: int) -> np.ndarray:
     """Return the complex field <q|p_hat^n|psi> computed spectrally.
 

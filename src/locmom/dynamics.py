@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
-                   apply_momentum_power, quotient_on, require_normalized,
-                   spectral_multiply, support_mask)
+                   quotient_on, require_normalized, spectral_multiply,
+                   support_mask)
 from .errors import PreconditionError, SelfCheckError, check
 from .moments import moment_densities, momentum_power
 from .phasespace import wigner_moment_density_stack
@@ -312,10 +312,3 @@ def kinetic_energy_densities(psi: Wavefunction) -> dict[str, RealProfile]:
 
 def position_mean(psi: Wavefunction) -> float:
     return float(np.sum(psi.grid.q * psi.rho()) * psi.grid.dq)
-
-
-def energy_mean(psi: Wavefunction, V: Potential) -> float:
-    g = psi.grid
-    p2 = float(np.real(np.sum(np.conj(psi.amp)
-                              * apply_momentum_power(psi, 2))) * g.dq)
-    return p2 / (2.0 * g.mass) + float(np.sum(V.values * psi.rho()) * g.dq)

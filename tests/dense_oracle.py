@@ -25,6 +25,12 @@ recomputes them one snapshot at a time with the package's own
 apply_momentum_power and Wigner moment densities.  It is the reference for
 the chunked dynamics.hydrodynamic_residuals, which must equal it bit for
 bit.
+
+The rest are references that only tests read: classical_local_moments is
+the general n x n classical route, the conditional moments of any a(q, p)
+on the lattice, which the one-pass classical bridge must reproduce;
+momentum_to_position inverts core.momentum_representation; energy_mean is
+<H> of one snapshot.
 """
 
 from dataclasses import dataclass
@@ -32,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from locmom.core import (DEFAULT_MASK_EPS, apply_momentum_power,
-                         momentum_representation, quotient_on,
-                         require_normalized)
+                         local_quotients, momentum_representation,
+                         quotient_on, require_normalized)
 from locmom.errors import PreconditionError, SelfCheckError, check
 from locmom.moments import moment_densities, momentum_power
 
@@ -315,3 +321,27 @@ def hydrodynamic_residuals(trace, eps_factor=1e-10):
                     + pressure / mass)
         euler = max(euler, float(np.max(np.abs(residual[mask]))))
     return continuity, euler
+
+
+def classical_local_moments(F, a, orders, eps_factor=DEFAULT_MASK_EPS):
+    """(sum_k a^order F dp) / P(q) per order, as RealProfiles on the mask
+    of the q-marginal P: the conditional moments of a(q, p), an array that
+    broadcasts to the lattice of the classical density F."""
+    densities = [(a ** k * F.values).sum(axis=1) * F.dp for k in orders]
+    return local_quotients(F.grid, F.q_marginal(), densities, eps_factor)
+
+
+def momentum_to_position(grid, phi: np.ndarray) -> np.ndarray:
+    """Inverse of momentum_representation; phi on the ascending grid."""
+    phi_wrapped = np.fft.ifftshift(np.asarray(phi, dtype=complex))
+    phase = np.exp(1j * grid.p_wrapped * grid.q_min / grid.hbar)
+    spectrum = phi_wrapped * phase / (grid.dq / np.sqrt(2.0 * np.pi * grid.hbar))
+    return np.fft.ifft(spectrum)
+
+
+def energy_mean(psi, V) -> float:
+    """<p^2>/(2m) + <V> of one snapshot."""
+    g = psi.grid
+    p2 = float(np.real(np.sum(np.conj(psi.amp)
+                              * apply_momentum_power(psi, 2))) * g.dq)
+    return p2 / (2.0 * g.mass) + float(np.sum(V.values * psi.rho()) * g.dq)

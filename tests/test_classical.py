@@ -6,8 +6,10 @@ from locmom import classical as cl
 from locmom import cli
 from locmom import moments as mm
 from locmom import phasespace as ps
+from locmom.core import variance_profile
 
 from conftest import GAUSS, traced_peak
+from dense_oracle import classical_local_moments
 
 
 @pytest.fixture(scope="module")
@@ -29,31 +31,31 @@ def test_density_is_normalized_probability(gauss_density, grid):
 
 def test_conditional_mean_and_variance(gauss_density):
     a = cl.momentum_variable(gauss_density)
-    m1 = cl.classical_local_moment(gauss_density, a, 1)
+    m1, m2 = classical_local_moments(gauss_density, a, (1, 2))
     assert np.max(np.abs(m1.values[m1.mask] - 2.0)) < 1e-8
-    var = cl.classical_local_variance(gauss_density, a)
+    var = variance_profile(m1, m2)
     assert np.max(np.abs(var.values[var.mask] - 0.25)) < 1e-8
 
 
 def test_second_moment_route(gauss_density):
     a = cl.momentum_variable(gauss_density)
-    m1 = cl.classical_local_moment(gauss_density, a, 1)
-    m2 = cl.classical_local_moment(gauss_density, a, 2)
+    (m1,) = classical_local_moments(gauss_density, a, (1,))
+    (m2,) = classical_local_moments(gauss_density, a, (2,))
     cond_var = m2.values[m2.mask] - m1.values[m1.mask] ** 2
     assert np.max(np.abs(cond_var - 0.25)) < 1e-8
 
 
 def test_position_function_collapses(gauss_density, grid):
-    a = cl.position_variable(gauss_density, np.tanh(grid.q))
-    m1 = cl.classical_local_moment(gauss_density, a, 1)
+    a = np.broadcast_to(np.tanh(grid.q)[:, None], gauss_density.values.shape)
+    m1, m2 = classical_local_moments(gauss_density, a, (1, 2))
     assert np.max(np.abs(m1.values[m1.mask] - np.tanh(grid.q)[m1.mask])) < 1e-12
-    var = cl.classical_local_variance(gauss_density, a)
+    var = variance_profile(m1, m2)
     assert np.max(np.abs(var.values[var.mask])) < 1e-12
 
 
 def test_local_variance_nonnegative(gauss_density):
     a = cl.momentum_variable(gauss_density)
-    var = cl.classical_local_variance(gauss_density, a)
+    var = variance_profile(*classical_local_moments(gauss_density, a, (1, 2)))
     assert var.values[var.mask].min() >= -1e-12
 
 
@@ -63,67 +65,8 @@ def test_point_supported_density(grid):
     values[100, 200] = 1.0 / (grid.dq * dp)
     F = lm.QuasiDistribution(kind="classical", grid=grid, pgrid=pgrid, dp=dp, values=values)
     a = cl.momentum_variable(F)
-    var = cl.classical_local_variance(F, a)
+    var = variance_profile(*classical_local_moments(F, a, (1, 2)))
     assert np.max(np.abs(var.values[var.mask])) < 1e-12
-
-
-def test_observable_distribution_recovers_marginal(gauss_density):
-    a = cl.momentum_variable(gauss_density)
-    od = cl.observable_distribution(gauss_density, a, 64)
-    analytic = (np.exp(-(od.centers - 2.0) ** 2 / (2.0 * 0.25))
-                / np.sqrt(2.0 * np.pi * 0.25))
-    sup_err = np.max(np.abs(od.marginal - analytic))
-    assert sup_err < 0.02 * analytic.max()
-    assert od.marginal.sum() * od.da == pytest.approx(1.0, abs=1e-10)
-
-
-def test_observable_distribution_mean_route(gauss_density):
-    # int a P(a|q) da reproduces the direct local moment
-    a = cl.momentum_variable(gauss_density)
-    od = cl.observable_distribution(gauss_density, a, 64)
-    m1 = cl.classical_local_moment(gauss_density, a, 1)
-    binned = (od.conditional * od.centers[:, None]).sum(axis=0) * od.da
-    assert np.max(np.abs(binned[od.mask] - m1.values[od.mask])) < 1e-3
-
-
-def test_observable_distribution_constant_observable(gauss_density):
-    a = np.full_like(gauss_density.values, 3.25)
-    od = cl.observable_distribution(gauss_density, a, 64)
-    peak = np.argmax(od.marginal)
-    assert od.centers[peak] == pytest.approx(3.25, abs=1e-12)
-    assert od.marginal.sum() * od.da == pytest.approx(1.0, abs=1e-10)
-    assert np.count_nonzero(od.marginal) == 1
-
-
-def test_observable_distribution_bayes_consistency(gauss_density):
-    a = cl.momentum_variable(gauss_density)
-    od = cl.observable_distribution(gauss_density, a, 64)
-    P = gauss_density.q_marginal()
-    reconstructed = od.conditional[:, od.mask] * P[od.mask][None, :]
-    assert np.max(np.abs(reconstructed - od.joint[:, od.mask])) < 1e-10
-    sums = od.conditional[:, od.mask].sum(axis=0) * od.da
-    assert np.max(np.abs(sums - 1.0)) < 1e-8
-
-
-def test_observable_distribution_joint_equals_per_column_bincount():
-    """The one bincount over the flattened (bin, q) cells deposits each
-    column's cells in the same order as a bincount per q column."""
-    grid = lm.make_grid(128, -20.0, 20.0)
-    F = cl.wigner_as_classical(GAUSS, grid)
-    a = cl.momentum_variable(F)
-    od = cl.observable_distribution(F, a, 40)
-    b = np.clip(np.floor((a - od.edges[0]) / od.da).astype(int), 0, 39)
-    weights = F.values * F.dp / od.da
-    joint = np.stack([np.bincount(b[j], weights=weights[j], minlength=40)
-                      for j in range(grid.n)], axis=1)
-    assert np.array_equal(od.joint, joint)
-    assert od.joint.flags.c_contiguous
-
-
-def test_observable_distribution_bin_count_guard(gauss_density):
-    a = cl.momentum_variable(gauss_density)
-    with pytest.raises(lm.PreconditionError, match="bin_count"):
-        cl.observable_distribution(gauss_density, a, 8)
 
 
 def test_variance_decomposition_uncorrelated(gauss_density):
@@ -145,8 +88,7 @@ def test_variance_decomposition_correlated(grid):
 
 
 def test_variance_decomposition_position_function(gauss_density, grid):
-    g_vals = np.tanh(grid.q)
-    a = cl.position_variable(gauss_density, g_vals)
+    a = np.broadcast_to(np.tanh(grid.q)[:, None], gauss_density.values.shape)
     deco = cl.classical_variance_decomposition(gauss_density, a)
     direct = cl.direct_classical_variance(gauss_density, a)
     assert deco.avg_local_variance == pytest.approx(0.0, abs=1e-12)
@@ -188,8 +130,8 @@ def test_wigner_bridge_rejects_nongaussian(grid):
         cl.wigner_as_classical(lm.OscillatorEigenstate(level=1, omega=1.0), grid)
 
 
-# The bridge reads p and p^2 off the lattice; the n x n route of
-# classical_local_moment, with a(q, p) = p as an array, is its reference.
+# The bridge reads p and p^2 off the lattice; the oracle's n x n route,
+# with a(q, p) = p as an array, is its reference.
 BRIDGE_GRIDS = [(512, 20.0), (2048, 40.0)]
 
 
@@ -205,8 +147,8 @@ def bridge(request):
 def test_bridge_profiles_equal_the_n_by_n_route(bridge):
     psi, density = bridge
     a = cl.momentum_variable(density)
-    m1 = cl.classical_local_moment(density, a, 1)
-    var = cl.classical_local_variance(density, a)
+    m1, m2 = classical_local_moments(density, a, (1, 2))
+    var = variance_profile(m1, m2)
     cls_m1, cls_var = cl.classical_pipeline_profiles(density, psi)
     assert np.array_equal(cls_m1.mask, psi.mask() & m1.mask)
     assert np.array_equal(cls_var.mask, cls_m1.mask)
@@ -250,21 +192,14 @@ def test_wigner_as_classical_fails_closed_on_a_nan_cell_in_any_block(
         cl.wigner_as_classical(GAUSS, grid, psi)
 
 
-def test_observables_are_read_only_views(gauss_density, grid):
+def test_observables_are_read_only_views(gauss_density):
     F = gauss_density
-    for a in (cl.momentum_variable(F),
-              cl.position_variable(F, np.tanh(grid.q))):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1.0
-        copied = a.copy()
-        view_hist = cl.observable_distribution(F, a, 64)
-        copy_hist = cl.observable_distribution(F, copied, 64)
-        for field in ("edges", "joint", "marginal", "conditional", "mask"):
-            assert np.array_equal(getattr(view_hist, field),
-                                  getattr(copy_hist, field)), field
-        assert (cl.classical_variance_decomposition(F, a)
-                == cl.classical_variance_decomposition(F, copied))
+    a = cl.momentum_variable(F)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 1.0
+    assert (cl.classical_variance_decomposition(F, a)
+            == cl.classical_variance_decomposition(F, a.copy()))
 
 
 # The Gaussians (s, k0, q0) of the benchmark decks, on the window that

@@ -113,7 +113,7 @@ def test_unitarity_and_energy_conservation(grid, coherent):
                                      dyn.PropagationConfig(1e-3, 1000, 100))
     drift = max(abs(s.norm() - 1.0) for s in trace.snapshots)
     assert drift < 1e-9
-    energies = [dyn.energy_mean(s, V) for s in trace.snapshots]
+    energies = [dense_oracle.energy_mean(s, V) for s in trace.snapshots]
     rel = (max(energies) - min(energies)) / abs(energies[0])
     assert rel < 1e-6
 

@@ -81,13 +81,14 @@ def _classical_density(grid64, gauss64, monkeypatch):
     F = cl.gaussian_density(grid64, 0.0, 2.0, 1.0, 0.5)
     values = F.values.copy()
     values[3, 3] = NAN
-    cl.classical_local_moment(replace(F, values=values),
-                              cl.momentum_variable(F), 1)
+    cl.classical_variance_decomposition(replace(F, values=values),
+                                        cl.momentum_variable(F))
 
 
 def _classical_normalization(grid64, gauss64, monkeypatch):
     F = cl.gaussian_density(grid64, 0.0, 2.0, 1.0, 0.5)
-    cl.classical_local_moment(replace(F, dp=NAN), cl.momentum_variable(F), 1)
+    cl.classical_variance_decomposition(replace(F, dp=NAN),
+                                        cl.momentum_variable(F))
 
 
 def _wigner_clip(grid64, gauss64, monkeypatch):

@@ -8,6 +8,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -98,11 +99,37 @@ def _scales_a_max(node) -> bool:
                     for side in (node.left, node.right)))
 
 
+# README's library section documents these two observable constructors,
+# next to momentum_power, as how a user states any other observable; no
+# command, benchmark request or acceptance criterion builds one.
+DOCUMENTED_IN_README = {"position_function", "linear_action"}
+
+
+def test_every_public_name_has_a_user():
+    """Each public name of locmom is read by another package module, the
+    benchmark (perfbench/) or an acceptance criterion; code that only tests
+    read belongs to tests/dense_oracle.py."""
+    repo = SRC.parent.parent
+    readers = ([path for path in sorted(SRC.glob("*.py"))
+                if path.name != "__init__.py"]
+               + sorted((repo / "perfbench").glob("*.py"))
+               + [repo / "tests" / "test_acceptance.py"])
+    used = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    public = {name for name in dir(locmom) if not name.startswith("_")
+              and not isinstance(getattr(locmom, name), types.ModuleType)}
+    assert sorted(public - used - DOCUMENTED_IN_README) == []
+
+
 def test_mask_rule_lives_in_core():
     """Only core compares a weight with eps times its maximum, once, in
-    core.support_mask: every mask (rho, the evolve stacks, a lattice's
-    q-marginal and observable_distribution's bin support on the flattened
-    lattice) goes through that rule."""
+    core.support_mask: every mask (rho, the evolve stacks and a lattice's
+    q-marginal) goes through that rule."""
     found, in_core = [], 0
     for name, tree in _trees():
         rules = [node.lineno for node in ast.walk(tree)
