@@ -112,7 +112,7 @@ def make_grid(n: int, q_min: float, q_max: float,
                     hbar=float(hbar), mass=float(mass))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Wavefunction:
     """Complex amplitudes psi(q_j) on a grid (units length^(-1/2))."""
 
@@ -131,7 +131,7 @@ class Wavefunction:
         return support_mask(self.rho(), eps_factor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealProfile:
     """Real-valued function of q with a validity mask.
 

@@ -49,7 +49,7 @@ from .phasespace import wigner_moment_density_stack
 STABILITY_LIMIT = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
     """Potential energy samples with the analytic gradient of the built-in
     family (spectral differentiation would ring on non-periodic shapes
@@ -99,7 +99,7 @@ class PropagationConfig:
             raise PreconditionError("snapshot_stride must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionTrace:
     potential: Potential
     times: np.ndarray

@@ -93,7 +93,7 @@ def linear_action(apply: Callable[[Wavefunction], np.ndarray],
                           apply=apply, apply_square=apply_square)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalProfile:
     """A local moment or variance profile tagged by definition and order."""
 

@@ -131,7 +131,7 @@ N2_ROW_BLOCK = 32
 MIN_CELL_TIE = 2.0 ** -40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiDistribution:
     """Real-valued distribution on the (q, p) lattice; may be negative.
 
@@ -152,9 +152,6 @@ class QuasiDistribution:
 
     def p_marginal(self) -> np.ndarray:
         return self.values.sum(axis=0) * self.grid.dq
-
-    def total(self) -> float:
-        return float(self.values.sum() * self.grid.dq * self.dp)
 
     def min_cell(self) -> tuple[float, float, float]:
         """Minimum cell value and a (q, p) location of it: the first cell

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -145,6 +146,29 @@ def test_unusable_recipe_numbers_exit_with_one_json_line(state, code,
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1
     assert message in json.loads(lines[0])["error"]["message"]
+
+
+def test_entry_freezes_the_heap_and_exits_2_on_a_refused_flag():
+    probe = ("import gc, sys; from locmom.cli import entry; "
+             "before = gc.get_freeze_count(); code = entry(); "
+             "print(before, gc.get_freeze_count()); sys.exit(code)")
+    src = str(Path(lm.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", probe, "moments", "--kind",
+                           "wigner"], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    before, after = map(int, proc.stdout.split())
+    assert before == 0 and after > 0
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "config"
+
+
+def test_main_leaves_the_collector_as_it_is(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["moments", "--kind", "wigner"]) == 2
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -232,3 +232,44 @@ def test_mask_rule_leaves_an_empty_mask_to_the_caller():
     """NaN weights give an empty mask, not an error of the rule: the
     callers' own checks report them."""
     assert not support_mask(np.full(8, np.nan)).any()
+
+
+def _wavefunction():
+    return lm.synthesize(lm.Gaussian(s=1.0, k0=2.0, q0=0.0),
+                         lm.make_grid(128, -16.0, 16.0))
+
+
+def _trace():
+    psi = _wavefunction()
+    return lm.split_step_propagate(psi, lm.harmonic_potential(psi.grid, 1.0),
+                                   lm.PropagationConfig(1e-3, 2, 1))
+
+
+ARRAY_RECORDS = {
+    "Wavefunction": _wavefunction,
+    "RealProfile": lambda: lm.local_variance(_wavefunction(),
+                                             lm.momentum_power(1), "S").profile,
+    "LocalProfile": lambda: lm.local_variance(_wavefunction(),
+                                              lm.momentum_power(1), "C"),
+    "QuasiDistribution": lambda: lm.wigner_transform(_wavefunction()),
+    "Potential": lambda: lm.harmonic_potential(lm.make_grid(128, -16.0, 16.0),
+                                               1.0),
+    "EvolutionTrace": _trace,
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_that_hold_arrays_compare_by_identity(name):
+    # two calls of one recipe: equal data, distinct objects
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
+def test_records_that_hold_values_keep_value_equality():
+    for build in (lambda: lm.make_grid(128, -16.0, 16.0),
+                  lambda: lm.PropagationConfig(1e-3, 2, 1),
+                  lambda: lm.parse_recipe("gaussian(s=1.0,k0=2.0,q0=0.0)")):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)

@@ -29,7 +29,7 @@ PLANE_K = 2.0 * np.pi * 4.0 / 40.0
 def test_wigner_gaussian_nonnegative_and_total(gauss512):
     W = lm.wigner_transform(gauss512)
     assert W.values.min() >= -1e-9
-    assert W.total() == pytest.approx(1.0, abs=1e-8)
+    assert W.values.sum() * W.grid.dq * W.dp == pytest.approx(1.0, abs=1e-8)
 
 
 def test_wigner_gaussian_peak_value():
@@ -264,7 +264,7 @@ def test_mh_marginals(localized_state):
     phi = lm.momentum_representation(localized_state)
     assert np.max(np.abs(M.p_marginal() - np.abs(phi) ** 2)) < 1e-8
     assert np.isrealobj(M.values)
-    assert M.total() == pytest.approx(1.0, abs=1e-8)
+    assert M.values.sum() * M.grid.dq * M.dp == pytest.approx(1.0, abs=1e-8)
 
 
 def test_mh_superposition_negativity():
