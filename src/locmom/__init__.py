@@ -9,9 +9,9 @@ from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
 from .errors import (ConfigError, LocmomError, PreconditionError,
                      SelfCheckError)
 from .moments import (LocalProfile, ObservableSpec, VarianceDecomposition,
-                      direct_variance, global_average, linear_action,
-                      local_value, local_variance, local_variance_C,
-                      local_variance_S, moment_densities, momentum_power,
+                      direct_variance, linear_action, local_value,
+                      local_variance, local_variance_C, local_variance_S,
+                      moment_densities, momentum_power,
                       phase_space_local_moment, phase_space_local_variance,
                       position_function, variance_decomposition,
                       variance_difference_term)

@@ -259,25 +259,24 @@ class VarianceDecomposition:
 
 def split_total_variance(definition: str, dq: float, weight: np.ndarray,
                          first: np.ndarray, second: np.ndarray,
-                         mask: np.ndarray, mean: float | None = None
-                         ) -> VarianceDecomposition:
+                         mask: np.ndarray) -> VarianceDecomposition:
     """The law of total variance at the density level, for the position
-    weight w and the first and second moment densities D, M2:
+    weight w and the first and second moment densities D, M2 of A, centred
+    on the mean m = int D dq (D_c = D - m w and M2_c = M2 - 2 m D + m^2 w
+    are the densities of A - m):
 
-        avg local variance      = int M2 dq - int_mask D^2/w dq
-        variance of local avgs  = int_mask (D/sqrt(w) - <A> sqrt(w))^2 dq
+        total                   = int M2_c dq
+        variance of local avgs  = int_mask D_c^2/w dq
+        avg local variance      = total - variance of local avgs
 
-    with <A> = int D dq unless given.  M2 - D^2/w and D^2/w stay finite
-    at nodes where the local variance itself diverges."""
-    if mean is None:
-        mean = float(np.sum(first) * dq)
-    D, w = first[mask], weight[mask]
-    avg_local_variance = float(np.sum(second) * dq - np.sum(D ** 2 / w) * dq)
-    spread = (D / np.sqrt(w) - mean * np.sqrt(w)) ** 2
-    variance_of_local_avg = float(np.sum(spread) * dq)
-    return VarianceDecomposition(definition, avg_local_variance,
-                                 variance_of_local_avg,
-                                 avg_local_variance + variance_of_local_avg)
+    so a boost leaves both parts unchanged.  D_c^2/w stays finite at nodes
+    where the local variance diverges."""
+    mean = float(np.sum(first) * dq)
+    centred = first - mean * weight
+    total = float(np.sum(second - 2.0 * mean * first + mean ** 2 * weight)
+                  * dq)
+    spread = float(np.sum(centred[mask] ** 2 / weight[mask]) * dq)
+    return VarianceDecomposition(definition, total - spread, spread, total)
 
 
 def integrate(profile: RealProfile) -> float:

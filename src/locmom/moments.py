@@ -23,9 +23,9 @@ densities to roundoff and builds no n x n array.
 A local moment is a density over rho on one mask (core.local_quotients);
 a local variance is core.variance_profile of the first two, except that
 the C one keeps the form Im[(A psi)/psi]^2, its analytic equal.  The S
-local variance may be negative; the C one is a square and may not.  Half the gap between
-the C and S second densities over rho is the difference term that relates
-the W, MH and C local variances of p.
+local variance may be negative; the C one is a square and may not.  Half
+the gap between the C and S second densities over rho is the difference
+term that relates the W, MH and C local variances of p.
 """
 
 from __future__ import annotations
@@ -249,26 +249,19 @@ def variance_difference_term(psi: Wavefunction,
                            eps_factor)[0]
 
 
-def global_average(psi: Wavefunction, A: ObservableSpec) -> float:
-    """<psi|A|psi> evaluated directly (A assumed Hermitian)."""
-    (first,) = moment_densities(psi, A, "S", orders=(1,))
-    return float(np.sum(first) * psi.grid.dq)
-
-
 def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
                            definition: str,
                            eps_factor: float = DEFAULT_MASK_EPS
                            ) -> VarianceDecomposition:
     """Split sigma^2_A into avg local variance + variance of local averages.
 
-    The sum must reproduce <A^2> - <A>^2; the caller checks it against the
-    returned total.  The split is core.split_total_variance on the rho
-    mask, around the S mean; the quotient's true value below the mask is
-    bounded by the sandwich density, i.e. negligible.  A position
-    function g has zero local spread under every definition, so its split
-    is read off g = g rho / rho where rho > 0.  Raises if the masked-out
-    region carries probability above 1e-8, which would make the split
-    unreliable.
+    The split is core.split_total_variance of the definition's densities
+    on the rho mask; the caller checks its total against the direct
+    variance.  A position function g has zero local spread under every
+    definition, so its split is read off g = g rho / rho where rho > 0.
+    Raises if the masked-out region carries probability above 1e-8: the
+    local spread there lands in the average local variance, so the two
+    parts (not the total) would be unreliable.
     """
     first, second = moment_densities(psi, A, definition)
     rho = psi.rho()
@@ -276,12 +269,9 @@ def variance_decomposition(psi: Wavefunction, A: ObservableSpec,
     dq = psi.grid.dq
     check("probability outside the rho mask", np.sum(rho[~mask]) * dq, 1e-8,
           PreconditionError, hint="the decomposition is unreliable")
-    # W's first density is not bitwise S's; its split keeps the S mean
-    mean = (global_average(psi, A) if definition == "W"
-            else float(np.sum(first) * dq))
     if A.kind != "position_function":
-        return split_total_variance(definition, dq, rho, first, second, mask,
-                                    mean)
+        return split_total_variance(definition, dq, rho, first, second, mask)
+    mean = float(np.sum(first) * dq)
     g = quotient_on(rho > 0, first, rho)
     spread = float(np.sum((g - mean) ** 2 * rho) * dq)
     return VarianceDecomposition(definition, 0.0, spread, spread)

@@ -30,7 +30,7 @@ The rest are references that only tests read: classical_local_moments is
 the general n x n classical route, the conditional moments of any a(q, p)
 on the lattice, which the one-pass classical bridge must reproduce;
 momentum_to_position inverts core.momentum_representation; energy_mean is
-<H> of one snapshot.
+<H> of one snapshot; global_average is <A> from the S first density.
 """
 
 from dataclasses import dataclass
@@ -337,6 +337,12 @@ def momentum_to_position(grid, phi: np.ndarray) -> np.ndarray:
     phase = np.exp(1j * grid.p_wrapped * grid.q_min / grid.hbar)
     spectrum = phi_wrapped * phase / (grid.dq / np.sqrt(2.0 * np.pi * grid.hbar))
     return np.fft.ifft(spectrum)
+
+
+def global_average(psi, A) -> float:
+    """<psi|A|psi> evaluated directly (A assumed Hermitian)."""
+    (first,) = moment_densities(psi, A, "S", orders=(1,))
+    return float(np.sum(first) * psi.grid.dq)
 
 
 def energy_mean(psi, V) -> float:

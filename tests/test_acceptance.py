@@ -264,8 +264,8 @@ def test_criterion_11_cli_contract(tmp_path, capsys):
     assert cli.main(["moments", "--state", "gauss(s=1)"]) == 2
     assert cli.main(["evolve", "--grid-n", "512", "--dt", "0.001",
                      "--steps", "5"]) == 3
-    assert cli.main(["decompose", "--state", "gaussian(s=1.0,k0=30.0,q0=0.0)",
-                     "--definition", "C", "--mask-eps", "3e-8"]) == 4
+    assert cli.main(["decompose", "--grid-n", "64", "--definition", "W",
+                     "--state", "oscillator(level=3,omega=1.0)"]) == 4
     err = capsys.readouterr().err
     codes = [json.loads(line)["error"]["code"]
              for line in err.strip().splitlines()]

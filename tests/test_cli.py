@@ -215,14 +215,30 @@ def test_decompose_superposition_all_definitions(capsys):
 
 
 def test_decompose_self_check_exit_4(capsys):
-    # coarse mask on a fast state: the support check passes (probability
-    # below 1e-8 excluded) but the C components visibly miss the total
-    code, _, err = run(["decompose", "--state",
-                        "gaussian(s=1.0,k0=30.0,q0=0.0)",
-                        "--definition", "C", "--mask-eps", "3e-8"], capsys)
+    # a real disagreement between routes: at n = 64 a tenth of the level-3
+    # spectrum lies beyond the W half-band, so the W kernel's second
+    # density misses <p^2> by about 0.36
+    code, _, err = run(["decompose", "--grid-n", "64", "--state",
+                        "oscillator(level=3,omega=1.0)",
+                        "--definition", "W"], capsys)
     assert code == 4
     payload = json.loads(err)
     assert payload["error"]["kind"] == "self-check"
+    assert "definition W" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("k0", ["30.0", "35.0"])
+def test_decompose_resolved_boosted_state_exits_0(k0, capsys):
+    # an uncentred split would lose k0^2 P_off off the rho mask (1.0e-8
+    # and 1.4e-8 here, over the 1e-8 check); the centred one loses only
+    # roundoff
+    code, out, _ = run(["decompose", "--grid-n", "4096", "--q-min", "-40",
+                        "--q-max", "40", "--state",
+                        "gaussian(s=1.0,k0=%s,q0=0.0)" % k0], capsys)
+    assert code == 0
+    records = json.loads(out)
+    assert [r["definition"] for r in records] == ["S", "C", "MH", "W"]
+    assert max(r["residual"] for r in records) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import locmom as lm
 from locmom.core import RealProfile, spectral_multiply, support_mask
 
 from conftest import make_state
-from dense_oracle import momentum_to_position
+from dense_oracle import global_average, momentum_to_position
 
 
 def test_make_grid_spacings():
@@ -44,8 +44,10 @@ def test_require_normalized_rejects_nan(gauss512):
     amp[3] = np.nan
     with pytest.raises(lm.PreconditionError,
                        match=r"\|norm - 1\|: nan exceeds 1e-08$"):
-        lm.global_average(lm.Wavefunction(gauss512.grid, amp),
-                          lm.momentum_power(1))
+        global_average(lm.Wavefunction(gauss512.grid, amp),
+                       lm.momentum_power(1))
+
+
 def test_momentum_grid_wrapped_vs_sorted(grid512):
     assert np.array_equal(np.sort(grid512.p_wrapped), grid512.p)
     assert grid512.p[grid512.n // 2] == 0.0

@@ -15,9 +15,9 @@ from locmom.core import spatial_derivative
 from conftest import (CORPUS, GAUSS, TWO_GAUSS, density, make_state,
                       traced_peak)
 from dense_oracle import (characteristic_function_S, conditional_direct,
-                          conditional_full, margenau_hill_direct,
-                          margenau_hill_full, momentum_amplitudes_at,
-                          wigner_direct, wigner_full)
+                          conditional_full, global_average,
+                          margenau_hill_direct, margenau_hill_full,
+                          momentum_amplitudes_at, wigner_direct, wigner_full)
 
 PLANE_K = 2.0 * np.pi * 4.0 / 40.0
 
@@ -397,7 +397,7 @@ def test_global_averages_from_phase_space(any_state):
     W = lm.wigner_transform(any_state)
     M = lm.margenau_hill_transform(any_state)
     for order in (1, 2):
-        direct = lm.global_average(any_state, mm.momentum_power(order))
+        direct = global_average(any_state, mm.momentum_power(order))
         for F in (W, M):
             total = float((F.values @ F.pgrid ** order).sum()
                           * any_state.grid.dq * F.dp)

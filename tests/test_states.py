@@ -21,7 +21,7 @@ def test_plane_wave_modulus(grid512):
 
 def test_oscillator_momentum_second_moment(grid512):
     psi = lm.synthesize(lm.OscillatorEigenstate(level=1, omega=1.0), grid512)
-    assert lm.global_average(psi, mm.momentum_power(2)) == pytest.approx(
+    assert dense.global_average(psi, mm.momentum_power(2)) == pytest.approx(
         1.5, abs=1e-8)
 
 
