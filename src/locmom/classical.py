@@ -16,9 +16,11 @@ moment_densities, a row block at a time, order 0 the q-marginal), with
 no n x n temporary.  The general n x n route to the local moments of any
 a is the test oracle's (tests/dense_oracle.py), and the bridge is checked
 against it.  wigner_as_classical finds the lowest cell of the transform
-it has just built and clips it in place in one pass of N2_ROW_BLOCK rows
-at a time, then renormalizes it.  Masks, quotients and the decomposition
-go through the same core layer as the quantum definitions.
+it has just built and clips it in place in one pass of row blocks, then
+renormalizes it by its one whole-array sum; both passes run on the row
+bands of the transforms (phasespace.in_row_bands).  Masks, quotients and
+the decomposition go through the same core layer as the quantum
+definitions.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile,
                    VarianceDecomposition, Wavefunction, local_quotients,
                    split_total_variance, variance_profile)
 from .errors import PreconditionError, check
-from .phasespace import (N2_ROW_BLOCK, QuasiDistribution, wigner_pgrid,
+from .phasespace import (QuasiDistribution, in_row_bands, wigner_pgrid,
                          wigner_transform)
 from .states import Gaussian, StateRecipe, synthesize
 
@@ -109,16 +111,28 @@ def wigner_as_classical(recipe: StateRecipe, grid: GridSpec,
     W = wigner_transform(synthesize(recipe, grid) if psi is None else psi)
     # the transform is fresh and ours: find its lowest cell and clip it in
     # place a row block at a time, then renormalize; np.minimum propagates
-    # NaN, so a NaN cell fails the check
+    # NaN, so a NaN cell in any band fails the check
     values = W.values
-    lowest = np.inf
-    for start in range(0, grid.n, N2_ROW_BLOCK):
-        rows = values[start:start + N2_ROW_BLOCK]
-        lowest = np.minimum(lowest, rows.min())
-        np.clip(rows, 0.0, None, out=rows)
+
+    def clip(blocks):
+        lowest = np.inf
+        for q in blocks:
+            rows = values[q]
+            lowest = np.minimum(lowest, rows.min())
+            np.clip(rows, 0.0, None, out=rows)
+        return lowest
+
     check("Wigner of a gaussian, depth of its lowest cell below zero",
-          -lowest, WIGNER_CLIP_TOL, PreconditionError)
-    values /= values.sum() * grid.dq * W.dp
+          -np.minimum.reduce(in_row_bands(grid.n, clip)), WIGNER_CLIP_TOL,
+          PreconditionError)
+    # one whole-array sum, whose order the bands would change; the divide
+    # is per cell
+    scale = values.sum() * grid.dq * W.dp
+
+    def renormalize(blocks):
+        values[blocks[0].start:blocks[-1].stop] /= scale
+
+    in_row_bands(grid.n, renormalize)
     return replace(W, kind="classical")
 
 

@@ -72,12 +72,29 @@ classical bridge (module ``classical``).
   finite (conditional_momentum_S).
 * Bayes check.  bayes_product fills rho * P_S into its result and
   compares it with the Margenau-Hill rows block by block, through one
-  scratch block and NaN-propagating reductions, and checks the largest
-  deviation once.  The two pipelines share no step.
+  scratch block per band and NaN-propagating reductions, and checks the
+  largest deviation once.  The two pipelines share no step.
 * Lattice moments.  QuasiDistribution.moment_densities takes one
   product of a row block with the columns pgrid^order at a time; these
   stay on one thread, where one product of the whole lattice takes the
   threaded BLAS path.
+* Row bands.  The Wigner and Margenau-Hill transforms, the conditional,
+  the Bayes check and the bridge's clip and divide split their blocks
+  into contiguous bands of whole blocks, one per usable core, each of at
+  least N2_BAND_ROWS rows (row_bands), and run the bands at once
+  (in_row_bands): the first on the caller, each other on a plain thread,
+  joined before the route returns.  numpy's ufuncs and FFTs release the
+  interpreter lock, so the bands overlap.  The outputs are bitwise the
+  same on any number of bands: a block is the same slice of rows on
+  whichever band holds it, every cell is computed by the same operations
+  from inputs no band writes, into rows no other band writes, and the
+  only reductions across bands, the largest deviation of the Bayes check
+  and the lowest cell of the bridge, are exact maxima and minima that
+  propagate NaN.  Each band allocates its own block buffers; with at
+  least N2_BAND_ROWS rows per band their share of the peak stays within
+  the per-cell estimates below on any number of cores.  The BLAS
+  products (the lattice moments, the W kernel) stay on one thread, as
+  OpenBLAS runs its own.
 
 The n x n routes refuse, before any n x n allocation, an n whose estimated
 peak memory exceeds N2_MEMORY_BUDGET; the kernel route holds one block of
@@ -86,7 +103,10 @@ BLOCK_CELLS / 2 complex cells beyond O(n) and needs no budget.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +123,14 @@ BAYES_CELL_TOL = 1e-7
 # three (0.29 GB for the Margenau-Hill transform, the largest estimate).
 N2_MEMORY_BUDGET = 2 ** 30
 # Peak bytes per cell: the float result (8) and the temporaries of one row
-# block of N2_ROW_BLOCK rows, whose share of the cells shrinks as n grows.
-# Rounded up from tracemalloc peaks at n = 256 (11.4, 14.3 and 12.4, and
-# 15.4 for the Bayes check, which the Margenau-Hill estimate covers; 8.2,
-# 8.6, 8.3 and 8.7 at n = 2048), so that the estimate bounds the peak from
-# n = 256 on.
+# block of N2_ROW_BLOCK rows per band, whose share of the cells shrinks as
+# n grows.  Rounded up from tracemalloc peaks at n = 256 (11.4, 14.3 and
+# 12.4, and 15.4 for the Bayes check, which the Margenau-Hill estimate
+# covers; 8.2, 8.6, 8.3 and 8.7 at n = 2048 on one band), so that the
+# estimate bounds the peak from n = 256 on.  On the most bands that
+# N2_BAND_ROWS allows the peaks were 9.1, 9.8, 9.6 and 10.3 at n = 1024
+# (2 bands), 8.7, 9.4, 9.2 and 9.9 at n = 2048 (4) and 8.6, 9.2, 9.1 and
+# 9.7 at n = 4096 (8).
 WIGNER_BYTES_PER_CELL = 12
 MH_BYTES_PER_CELL = 17
 CONDITIONAL_BYTES_PER_CELL = 14
@@ -123,6 +146,15 @@ BLOCK_CELLS = 2 ** 16
 # at n = 2048 (1 MB of complex cells), where 256-row blocks of the
 # Margenau-Hill table product took 1.5 times as long.
 N2_ROW_BLOCK = 32
+# Fewest q rows per band of the n x n routes (row_bands), so that below
+# n = 1024 they run on the caller's thread alone.  In BENCH_n2_routes.json
+# (2-vCPU VM, best of 11 or 31) two bands of 256 rows at n = 512 took
+# longer than one on every route (Bayes 3.7 and 4.0 ms against a median
+# of 2.9, the bridge 4.3 and 4.1 against 2.8), and two bands of 512 rows
+# at n = 1024 took 0.72 to 0.86 of the parent's one-band median.  The
+# floor also bounds the number of bands, and so the share of their block
+# buffers in the peak memory (above).
+N2_BAND_ROWS = 512
 
 # Width, relative to max|values|, of the band above the minimum in which
 # QuasiDistribution.min_cell takes the first cell: far above the roundoff
@@ -226,6 +258,63 @@ def _row_blocks(m: int, n: int, rows: int):
             yield r, slice(q0, min(q0 + q_rows, n))
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def row_bands(n: int) -> list[list[slice]]:
+    """The q-row slices of _row_blocks(1, n, N2_ROW_BLOCK) split into
+    contiguous bands of whole blocks, as even in blocks as they divide:
+    one band per usable core, as long as each holds N2_BAND_ROWS rows or
+    more (and at most one band per block)."""
+    blocks = [q for _, q in _row_blocks(1, n, N2_ROW_BLOCK)]
+    count = max(1, min(usable_cores(), len(blocks), n // N2_BAND_ROWS))
+    return [blocks[len(blocks) * b // count:len(blocks) * (b + 1) // count]
+            for b in range(count)]
+
+
+def in_row_bands(n: int, band) -> list:
+    """[band(blocks) for blocks in row_bands(n)], the bands run at once:
+    band 0 on the caller, each other on a thread of its own, started with
+    a copy of the caller's context (numpy's error state lives there) and
+    joined before this returns.  If any band raises, the first exception
+    in band order is raised here, after every band has ended.
+
+    band must write only the rows of its own blocks and call no function
+    of the package's public API (a tracer may wrap those, and its span
+    stack is the caller's)."""
+    bands = row_bands(n)
+    results = [None] * len(bands)
+    errors = [None] * len(bands)
+
+    def run(b: int) -> None:
+        try:
+            results[b] = band(bands[b])
+        except BaseException as error:  # raised again below, on the caller
+            errors[b] = error
+
+    started = []
+    try:
+        for b in range(1, len(bands)):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, b))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
 def _padded(amps: np.ndarray, wrap: np.ndarray) -> np.ndarray:
     """The amplitude rows padded by n/2 per side, periodically where wrap
     and with zeros elsewhere: padded[r, n/2 + i] = amps[r, i]."""
@@ -314,11 +403,15 @@ def wigner_transform(psi: Wavefunction) -> QuasiDistribution:
     conjugates = _windows(np.conj(padded) * (g.dq / (np.pi * g.hbar)))
     windows = _windows(padded)
     values = np.empty((n, n))
-    buffer = np.empty((min(N2_ROW_BLOCK, n), half + 1), dtype=complex)
-    for _, q in _row_blocks(1, n, N2_ROW_BLOCK):
-        c = buffer[:q.stop - q.start]
-        np.multiply(conjugates[q, half:], windows[q, half::-1], out=c)
-        np.fft.irfft(c, n, norm="forward", out=values[q])
+
+    def band(blocks):
+        buffer = np.empty((min(N2_ROW_BLOCK, n), half + 1), dtype=complex)
+        for q in blocks:
+            c = buffer[:q.stop - q.start]
+            np.multiply(conjugates[q, half:], windows[q, half::-1], out=c)
+            np.fft.irfft(c, n, norm="forward", out=values[q])
+
+    in_row_bands(n, band)
     pgrid, dp = wigner_pgrid(g)
     return QuasiDistribution(kind="weyl_wigner", grid=g, pgrid=pgrid,
                              dp=dp, values=values)
@@ -388,9 +481,9 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
 
 def _margenau_hill_blocks(psi: Wavefunction):
     """Check the state (normalization, then the memory budget) and return
-    the generator of (q, z) per block of N2_ROW_BLOCK q rows, Re(z) the
-    Margenau-Hill cells of those rows; z is one buffer, overwritten by the
-    next block.
+    cells(blocks), the generator of (q, z) per block q of one band of
+    row_bands, Re(z) the Margenau-Hill cells of those rows; z is one
+    buffer per generator, overwritten by the next block.
 
     On the grid q_j p_k/hbar = q_min p_k/hbar + 2 pi j k/n - pi j, so
     F_MH[j, k] = Re(a_j b_k omega^(j k)) with a_j = (-1)^j conj(psi_j),
@@ -415,25 +508,29 @@ def _margenau_hill_blocks(psi: Wavefunction):
     omega = np.exp(2j * np.pi * k / n)
     table = omega[np.multiply.outer(np.arange(min(N2_ROW_BLOCK, n)), k) % n]
     table *= b
-    buffer = np.empty_like(table)
 
-    def blocks():
-        for _, q in _row_blocks(1, n, N2_ROW_BLOCK):
+    def cells(blocks):
+        buffer = np.empty_like(table)
+        for q in blocks:
             rows = q.stop - q.start
             z = buffer[:rows]
             np.multiply(table[:rows], omega[q.start * k % n], out=z)
             z *= a[q, None]
             yield q, z
-    return blocks()
+    return cells
 
 
 def margenau_hill_transform(psi: Wavefunction) -> QuasiDistribution:
     """Margenau-Hill distribution on the standard momentum grid."""
-    blocks = _margenau_hill_blocks(psi)
+    cells = _margenau_hill_blocks(psi)
     g = psi.grid
     values = np.empty((g.n, g.n))
-    for q, z in blocks:
-        values[q] = z.real
+
+    def band(blocks):
+        for q, z in cells(blocks):
+            values[q] = z.real
+
+    in_row_bands(g.n, band)
     return QuasiDistribution(kind="margenau_hill", grid=g, pgrid=g.p,
                              dp=g.dp, values=values)
 
@@ -475,11 +572,11 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
     reciprocal = quotient_on(live, 0.5, amp)[:, None]  # dead rows zeroed below
     windows = _windows(_padded(amp[None, :], np.ones(1, dtype=bool)))[0]
 
-    def blocks():
+    def shifts(blocks):
         # x(s) = G(-s, q) = psi(q - s)/(2 psi(q)) + conj(psi(q + s)/(2 psi(q)))
         x = np.empty((min(N2_ROW_BLOCK, n), half + 1), dtype=complex)
         tail = np.empty_like(x)
-        for _, q in _row_blocks(1, n, N2_ROW_BLOCK):
+        for q in blocks:
             h, t = x[:q.stop - q.start], tail[:q.stop - q.start]
             np.multiply(windows[q, :half + 1], reciprocal[q], out=t)
             np.multiply(windows[q, n:half - 1:-1], reciprocal[q], out=h)
@@ -487,7 +584,8 @@ def conditional_momentum_S(psi: Wavefunction) -> np.ndarray:
             yield q, h
 
     values = np.empty((n, n))
-    _hermitian_rows(blocks(), scale, values)
+    in_row_bands(n, lambda blocks: _hermitian_rows(shifts(blocks), scale,
+                                                   values))
     values[~live] = 0.0
     return values
 
@@ -503,17 +601,22 @@ def bayes_product(psi: Wavefunction,
     if conditional.shape != (g.n, g.n):
         raise PreconditionError("conditional distribution has wrong shape %s"
                                 % (conditional.shape,))
-    blocks = _margenau_hill_blocks(psi)
+    cells = _margenau_hill_blocks(psi)
     rho = psi.rho()[:, None]
     values = np.empty((g.n, g.n))
-    scratch = np.empty((min(N2_ROW_BLOCK, g.n), g.n))
-    deviation = 0.0
-    for q, z in blocks:
-        rows = np.multiply(rho[q], conditional[q], out=values[q])
-        # max, min and np.maximum propagate NaN, so a NaN cell fails the
-        # check
-        d = np.subtract(z.real, rows, out=scratch[:q.stop - q.start])
-        deviation = np.maximum(deviation, np.maximum(d.max(), -d.min()))
+
+    def band(blocks):
+        scratch = np.empty((min(N2_ROW_BLOCK, g.n), g.n))
+        deviation = 0.0
+        for q, z in cells(blocks):
+            rows = np.multiply(rho[q], conditional[q], out=values[q])
+            d = np.subtract(z.real, rows, out=scratch[:q.stop - q.start])
+            deviation = np.maximum(deviation, np.maximum(d.max(), -d.min()))
+        return deviation
+
+    # max, min and np.maximum propagate NaN, so a NaN cell in any band
+    # fails the check
+    deviation = np.maximum.reduce(in_row_bands(g.n, band))
     check("Bayes product, largest cell deviation from the Margenau-Hill "
           "distribution", deviation, BAYES_CELL_TOL, SelfCheckError)
     return QuasiDistribution(kind="margenau_hill", grid=g, pgrid=g.p,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import locmom as lm
+from locmom import phasespace as ps
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -33,6 +34,15 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def use_bands(monkeypatch, cores=None):
+    """Let the n x n routes split their rows into bands from any n, one
+    band per block at most, on `cores` usable cores (None: this
+    machine's)."""
+    monkeypatch.setattr(ps, "N2_BAND_ROWS", 1)
+    if cores is not None:
+        monkeypatch.setattr(ps, "usable_cores", lambda: cores)
 
 
 def make_state(name, grid):

@@ -8,7 +8,7 @@ from locmom import moments as mm
 from locmom import phasespace as ps
 from locmom.core import variance_profile
 
-from conftest import GAUSS, traced_peak
+from conftest import GAUSS, traced_peak, use_bands
 from dense_oracle import classical_local_moments
 
 
@@ -178,11 +178,24 @@ def test_wigner_as_classical_peaks_within_the_wigner_estimate(bridge):
                        ) < psi.grid.n ** 2 * ps.WIGNER_BYTES_PER_CELL
 
 
-# n = 600 ends in a partial block of N2_ROW_BLOCK rows
+# n = 600 ends in a partial block of N2_ROW_BLOCK rows; on three bands
+# (rows from 0, 192 and 384) rows 400 and 599 lie in the last band
 @pytest.mark.parametrize("cell", [(0, 0), (599, 599)],
                          ids=["first-block", "last-partial-block"])
 def test_wigner_as_classical_fails_closed_on_a_nan_cell_in_any_block(
         monkeypatch, cell):
+    assert_bridge_fails_closed(monkeypatch, cell)
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (400, 300), (599, 599)],
+                         ids=["first-band", "last-band", "last-partial-block"])
+def test_wigner_as_classical_fails_closed_on_a_nan_cell_in_any_band(
+        monkeypatch, cell):
+    use_bands(monkeypatch, 3)
+    assert_bridge_fails_closed(monkeypatch, cell)
+
+
+def assert_bridge_fails_closed(monkeypatch, cell):
     grid = lm.make_grid(600, -20.0, 20.0)
     psi = lm.synthesize(GAUSS, grid)
     W = lm.wigner_transform(psi)
@@ -190,6 +203,20 @@ def test_wigner_as_classical_fails_closed_on_a_nan_cell_in_any_block(
     monkeypatch.setattr(cl, "wigner_transform", lambda _: W)
     with pytest.raises(lm.PreconditionError, match=": nan exceeds "):
         cl.wigner_as_classical(GAUSS, grid, psi)
+
+
+# n = 200 and 600 end in a partial block; n = 202 has an odd n/2
+@pytest.mark.parametrize("n", [200, 202, 600])
+def test_wigner_as_classical_does_not_depend_on_the_bands(monkeypatch, n):
+    grid = lm.make_grid(n, -20.0, 20.0)
+    psi = lm.synthesize(GAUSS, grid)
+    default = ps.usable_cores()
+    use_bands(monkeypatch, 1)
+    serial = cl.wigner_as_classical(GAUSS, grid, psi).values
+    for cores in (default, 3):
+        monkeypatch.setattr(ps, "usable_cores", lambda: cores)
+        assert np.array_equal(cl.wigner_as_classical(GAUSS, grid, psi).values,
+                              serial), cores
 
 
 def test_observables_are_read_only_views(gauss_density):

@@ -18,6 +18,8 @@ from locmom.io import fmt
 from locmom.cli import RunConfig
 from locmom.io import read_distribution_binary
 
+from conftest import use_bands
+
 GRID16 = ["--grid-n", "512", "--q-min", "-16", "--q-max", "16"]
 EVOLVE_GRID = ["--grid-n", "128", "--q-min", "-16", "--q-max", "16"]
 
@@ -325,6 +327,31 @@ def test_distribution_binary_deterministic(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["wigner", "mh", "classical"])
+def test_distribution_binary_does_not_depend_on_the_bands(monkeypatch,
+                                                          tmp_path, capsys,
+                                                          kind):
+    """The same bytes whether the rows run on one band or on one band per
+    core, from every block (n = 600 ends in a partial block)."""
+    argv = ["distribution", "--grid-n", "600", "--q-min", "-20", "--q-max",
+            "20", "--kind", kind, "--format", "binary", "--out", "d.bin"]
+
+    def run_in(directory):
+        # the same relative --out in its own directory, so stdout, which
+        # names it, compares too
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out, (directory / "d.bin").read_bytes()
+
+    default = phasespace.usable_cores()
+    use_bands(monkeypatch, 1)
+    serial = run_in(tmp_path / "one")
+    for i, cores in enumerate((default, 3)):
+        monkeypatch.setattr(phasespace, "usable_cores", lambda: cores)
+        assert run_in(tmp_path / ("run%d" % i)) == serial, cores
 
 
 # ---------------------------------------------------------------------------

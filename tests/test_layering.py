@@ -191,6 +191,37 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_no_setting_comes_from_the_environment():
+    """Settings come from the command line and the config file alone (the
+    settings table of cli.RunConfig): nothing reads os.environ or
+    os.getenv, the number of row bands included."""
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("environ", "getenv", "environb")):
+                found.append("%s:%d reads %s" % (name, node.lineno,
+                                                 node.attr))
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and {a.name for a in node.names}
+                  & {"environ", "getenv", "environb"}):
+                found.append("%s:%d imports it from os" % (name, node.lineno))
+    assert found == []
+
+
+def test_cli_import_loads_no_concurrent_futures():
+    """The row bands run on plain threads: concurrent.futures would add its
+    import to every start-up."""
+    probe = ("import sys, locmom.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'concurrent'))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout.strip() == "[]"
+
+
 def test_profiles_and_evolve_build_no_wigner_transform(monkeypatch, capsys):
     def refuse(psi):
         raise AssertionError("the n x n Wigner transform was built")

@@ -1,4 +1,7 @@
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -8,12 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import locmom as lm
+from locmom import classical as cl
 from locmom import moments as mm
 from locmom import phasespace as ps
 from locmom.core import spatial_derivative
 
 from conftest import (CORPUS, GAUSS, TWO_GAUSS, density, make_state,
-                      traced_peak)
+                      traced_peak, use_bands)
 from dense_oracle import (characteristic_function_S, conditional_direct,
                           conditional_full, global_average,
                           margenau_hill_direct, margenau_hill_full,
@@ -556,6 +560,20 @@ def test_bayes_product_fails_closed_on_a_nan_cell_in_any_block(cell):
         lm.bayes_product(psi, P)
 
 
+# on three bands (rows from 0, 192 and 384) of n = 600, rows 400 and 599
+# lie in the last band, 599 in its partial last block
+@pytest.mark.parametrize("cell", [(0, 0), (400, 300), (599, 599)],
+                         ids=["first-band", "last-band", "last-partial-block"])
+def test_bayes_product_fails_closed_on_a_nan_cell_in_any_band(monkeypatch,
+                                                              cell):
+    use_bands(monkeypatch, 3)
+    psi = lm.synthesize(GAUSS, lm.make_grid(600, -20.0, 20.0))
+    P = lm.conditional_momentum_S(psi)
+    P[cell] = np.nan
+    with pytest.raises(lm.SelfCheckError, match="Bayes.*: nan exceeds "):
+        lm.bayes_product(psi, P)
+
+
 # A Gaussian cannot be both resolved (s >= dq) and decayed at the window
 # edge on 16 points, so n = 16 covers the oscillator and the plane wave.
 DIRECT_CASES = ([(16, 10.0, name) for name in ("plane_wave", "oscillator")]
@@ -645,6 +663,25 @@ def test_n2_transform_peaks_stay_within_their_estimates(gauss512,
             assert traced_peak(call) <= n ** 2 * per_cell, (n, name)
 
 
+@pytest.mark.parametrize("cores", [2, 64])
+def test_banded_peaks_stay_within_their_estimates(monkeypatch, gauss2048,
+                                                  cores):
+    """tracemalloc sees every thread.  Each band holds its own block
+    buffers, and N2_BAND_ROWS bounds the number of bands at each n, so the
+    estimates hold on any number of cores (64 gives the most bands the
+    rule allows: 2 at n = 1024, 4 at n = 2048)."""
+    monkeypatch.setattr(ps, "usable_cores", lambda: cores)
+    gauss1024 = lm.synthesize(GAUSS, lm.make_grid(1024, -40.0, 40.0))
+    for psi in (gauss1024, gauss2048):
+        n = psi.grid.n
+        assert len(ps.row_bands(n)) == min(cores, n // 512)
+        bridge = ("bridge", lambda: cl.wigner_as_classical(GAUSS, psi.grid,
+                                                           psi),
+                  ps.WIGNER_BYTES_PER_CELL)
+        for name, call, per_cell in (*n2_routes(psi), bridge):
+            assert traced_peak(call) <= n ** 2 * per_cell, (n, name)
+
+
 def test_n2_routes_hold_no_complex_n_by_n_array(gauss2048):
     """The result is one float n x n array and the rest goes a row block
     at a time: an n x n complex array alone would take 16 n^2 bytes."""
@@ -660,6 +697,154 @@ def test_memory_budget_admits_an_estimate_equal_to_it(monkeypatch,
     assert lm.wigner_transform(gauss512).values.shape == (512, 512)
     with pytest.raises(lm.PreconditionError, match="memory budget"):
         lm.conditional_momentum_S(gauss512)
+
+
+# ---------------------------------------------------------------------------
+# Row bands
+
+
+def block_list(n):
+    return [q for _, q in ps._row_blocks(1, n, ps.N2_ROW_BLOCK)]
+
+
+@pytest.mark.parametrize("n", [200, 202, 600, 1000, 1024, 2048, 4096])
+@pytest.mark.parametrize("cores", [1, 2, 3, 64])
+def test_row_bands_split_the_blocks_into_contiguous_even_bands(monkeypatch,
+                                                               n, cores):
+    monkeypatch.setattr(ps, "usable_cores", lambda: cores)
+    bands = ps.row_bands(n)
+    assert [q for band in bands for q in band] == block_list(n)
+    sizes = [len(band) for band in bands]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    rows = [band[-1].stop - band[0].start for band in bands]
+    assert len(bands) == 1 or min(rows) >= ps.N2_BAND_ROWS
+    # one band per core wherever every band keeps N2_BAND_ROWS rows
+    expected = {1000: 1, 1024: min(cores, 2), 2048: min(cores, 4),
+                4096: min(cores, 8)}.get(n, 1)
+    assert len(bands) == expected
+
+
+def test_row_bands_take_one_band_per_core_down_to_one_block(monkeypatch):
+    use_bands(monkeypatch, 64)
+    assert ps.row_bands(200) == [[q] for q in block_list(200)]
+    monkeypatch.setattr(ps, "usable_cores", lambda: 3)
+    assert [band[0].start for band in ps.row_bands(600)] == [0, 192, 384]
+
+
+def test_in_row_bands_returns_in_band_order_and_leaves_no_thread(
+        monkeypatch):
+    use_bands(monkeypatch, 4)
+    starts = [band[0].start for band in ps.row_bands(600)]
+    before = threading.active_count()
+    assert ps.in_row_bands(600, lambda band: band[0].start) == starts
+    assert threading.active_count() == before
+
+
+def test_in_row_bands_raises_the_first_error_after_every_band_ends(
+        monkeypatch):
+    use_bands(monkeypatch, 4)
+    starts = [band[0].start for band in ps.row_bands(600)]
+    ended = []
+
+    def band(blocks):
+        start = blocks[0].start
+        if start == starts[-1]:
+            time.sleep(0.05)
+        ended.append(start)
+        if start:
+            raise ValueError(start)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        ps.in_row_bands(600, band)
+    assert info.value.args == (starts[1],)
+    assert sorted(ended) == starts
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("route", [lm.wigner_transform,
+                                   lm.conditional_momentum_S],
+                         ids=["wigner", "conditional"])
+def test_an_error_in_a_band_thread_reaches_the_caller(monkeypatch, route):
+    use_bands(monkeypatch, 3)
+    psi = lm.synthesize(GAUSS, lm.make_grid(600, -20.0, 20.0))
+    caller = threading.current_thread()
+    irfft = np.fft.irfft
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            raise FloatingPointError("irfft failed on a band thread")
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="band thread"):
+        route(psi)
+    assert threading.active_count() == before
+
+
+def test_band_threads_run_under_the_callers_numpy_error_state(monkeypatch):
+    """The threads start in a copy of the caller's context, where numpy
+    keeps its error state: an overflow off the caller's band raises or
+    passes as it would on the caller's."""
+    use_bands(monkeypatch, 3)
+    values = np.ones(600)
+    values[192:] = 1e300  # the second and third bands
+
+    def square(blocks):
+        rows = values[blocks[0].start:blocks[-1].stop]
+        return rows * rows
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        ps.in_row_bands(600, square)
+    with np.errstate(over="ignore"):
+        first, *others = ps.in_row_bands(600, square)
+    assert (first == 1.0).all() and np.isinf(np.concatenate(others)).all()
+
+
+def banded_routes(psi):
+    P = lm.conditional_momentum_S(psi)
+    return (lm.wigner_transform(psi).values,
+            lm.margenau_hill_transform(psi).values, P,
+            lm.bayes_product(psi, P).values)
+
+
+def test_more_bands_than_cores_under_fast_thread_switches(monkeypatch):
+    """One band per block (19 at n = 600, more threads than cores), the
+    interpreter switching threads every microsecond: a band writing
+    another's rows or a result lost between threads would show."""
+    psi = make_state("superposition", lm.make_grid(600, -20.0, 20.0))
+    use_bands(monkeypatch, 1)
+    serial = banded_routes(psi)
+    monkeypatch.setattr(ps, "usable_cores", lambda: 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        for _ in range(5):
+            for one, banded in zip(serial, banded_routes(psi)):
+                assert np.array_equal(one, banded)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(ps.row_bands(600)) == 19
+    assert time.perf_counter() - start < 30.0
+
+
+# n = 200 and 600 end in a partial block; n = 202 has an odd n/2
+@pytest.mark.parametrize("n", [200, 202, 600])
+@pytest.mark.parametrize("name", CORPUS)
+def test_banded_routes_equal_the_one_band_routes_bit_for_bit(monkeypatch,
+                                                             n, name):
+    """Every cell is computed by the same operations on whichever thread
+    computes it, so the outputs do not depend on the number of bands."""
+    psi = make_state(name, lm.make_grid(n, -20.0, 20.0))
+    default = ps.usable_cores()
+    use_bands(monkeypatch, 1)
+    serial = banded_routes(psi)
+    for cores in (default, 3):
+        monkeypatch.setattr(ps, "usable_cores", lambda: cores)
+        for one, banded in zip(serial, banded_routes(psi)):
+            assert np.array_equal(one, banded), cores
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ wigner_as_classical and classical_pipeline_profiles (given the classical
 density).  Each case records the wall time of one call, best of K, and
 the tracemalloc peak of one call; the inputs a route is given are built
 before it is timed and are not in its peak.  The Gaussians' window and
-width grow with n, so that dq stays 5/64.
+width grow with n, so that dq stays 5/64.  The environment records the
+cores this process may use and, per n, the number of row bands (threads)
+the n x n routes run (phasespace.row_bands).
 
 The record (label, environment, cases) is printed as JSON; with --out it
 is appended to the JSON list in FILE, which is created if absent.
@@ -29,7 +31,7 @@ import tracemalloc
 import numpy as np
 
 import locmom as lm
-from locmom import classical
+from locmom import classical, phasespace
 
 SIZES = (512, 1024, 2048, 4096)
 ORDERS = (1, 2)
@@ -94,7 +96,10 @@ def main() -> None:
             cases.append(case)
     record = {
         "label": args.label,
-        "environment": {"cpus": len(os.sched_getaffinity(0)),
+        "environment": {"cpus": os.cpu_count(),
+                        "usable_cores": phasespace.usable_cores(),
+                        "workers": {str(n): len(phasespace.row_bands(n))
+                                    for n in SIZES},
                         "platform": platform.platform(),
                         "python": platform.python_version(),
                         "numpy": np.__version__},
