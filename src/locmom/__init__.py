@@ -5,7 +5,7 @@ checks under split-operator time evolution."""
 
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    apply_momentum_power, integrate, make_grid,
-                   momentum_representation, normalize, spatial_derivative)
+                   momentum_representation, normalize)
 from .errors import (ConfigError, LocmomError, PreconditionError,
                      SelfCheckError)
 from .moments import (LocalProfile, ObservableSpec, VarianceDecomposition,

@@ -306,6 +306,11 @@ def _parse_potential(text: str, grid) -> dynamics.Potential:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    # the residuals need snapshots uniform in time, at least three of them
+    if cfg.steps % cfg.stride or cfg.steps // cfg.stride < 2:
+        raise ConfigError("stride must divide steps into at least 2 "
+                          "intervals, got steps %d and stride %d"
+                          % (cfg.steps, cfg.stride))
     grid, _, psi = _setup(cfg)
     V = _parse_potential(cfg.potential, grid)
     run = dynamics.PropagationConfig(cfg.dt, cfg.steps, cfg.stride)

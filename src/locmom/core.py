@@ -285,19 +285,3 @@ def integrate(profile: RealProfile) -> float:
     vals = np.where(profile.mask, profile.values, 0.0)
     return float(np.sum(vals) * profile.grid.dq)
 
-
-def spatial_derivative(field, grid: GridSpec | None = None):
-    """Spectral d/dq of a RealProfile or of a raw (real or complex) array:
-    the factor (i/hbar) p on the seam, so real input yields the real part.
-    Exact for band-limited inputs; the caller is responsible for the input
-    being smooth relative to the grid."""
-    if isinstance(field, RealProfile):
-        deriv = spatial_derivative(field.values, field.grid)
-        return RealProfile(field.grid, deriv, field.mask.copy())
-    if grid is None:
-        raise ValueError("grid is required when differentiating a raw array")
-    values = np.asarray(field)
-    (out,) = spectral_multiply(values, (1j / grid.hbar) * grid.p_wrapped)
-    if not np.iscomplexobj(values):
-        return out.real
-    return out

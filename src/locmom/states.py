@@ -171,10 +171,6 @@ class GaussianOracle:
     def second_moment_S(self, q):
         return (self.hbar * self.k0) ** 2 + self.variance_S(q)
 
-    def sandwich_over_rho(self, q):
-        """|<q|p|psi>/psi|^2 = pbar^2 + variance_C."""
-        return (self.hbar * self.k0) ** 2 + self.variance_C(q)
-
 
 def gaussian_oracle(recipe: StateRecipe, hbar: float = 1.0) -> GaussianOracle:
     if not isinstance(recipe, Gaussian):

@@ -30,16 +30,18 @@ The rest are references that only tests read: classical_local_moments is
 the general n x n classical route, the conditional moments of any a(q, p)
 on the lattice, which the one-pass classical bridge must reproduce;
 momentum_to_position inverts core.momentum_representation; energy_mean is
-<H> of one snapshot; global_average is <A> from the S first density.
+<H> of one snapshot; global_average is <A> from the S first density;
+spatial_derivative is d/dq through the spectral seam.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from locmom.core import (DEFAULT_MASK_EPS, apply_momentum_power,
-                         local_quotients, momentum_representation,
-                         quotient_on, require_normalized)
+from locmom.core import (DEFAULT_MASK_EPS, GridSpec, RealProfile,
+                         apply_momentum_power, local_quotients,
+                         momentum_representation, quotient_on,
+                         require_normalized, spectral_multiply)
 from locmom.errors import PreconditionError, SelfCheckError, check
 from locmom.moments import moment_densities, momentum_power
 
@@ -351,3 +353,20 @@ def energy_mean(psi, V) -> float:
     p2 = float(np.real(np.sum(np.conj(psi.amp)
                               * apply_momentum_power(psi, 2))) * g.dq)
     return p2 / (2.0 * g.mass) + float(np.sum(V.values * psi.rho()) * g.dq)
+
+
+def spatial_derivative(field, grid: GridSpec | None = None):
+    """Spectral d/dq of a RealProfile or of a raw (real or complex) array:
+    the factor (i/hbar) p on the seam, so real input yields the real part.
+    Exact for band-limited inputs; the caller is responsible for the input
+    being smooth relative to the grid."""
+    if isinstance(field, RealProfile):
+        deriv = spatial_derivative(field.values, field.grid)
+        return RealProfile(field.grid, deriv, field.mask.copy())
+    if grid is None:
+        raise ValueError("grid is required when differentiating a raw array")
+    values = np.asarray(field)
+    (out,) = spectral_multiply(values, (1j / grid.hbar) * grid.p_wrapped)
+    if not np.iscomplexobj(values):
+        return out.real
+    return out

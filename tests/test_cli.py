@@ -454,6 +454,21 @@ def test_evolve_reports_the_first_failing_snapshot(capsys, argv, code,
     assert run(["evolve", *EVOLVE_GRID, *argv], capsys) == (code, "", message)
 
 
+@pytest.mark.parametrize("argv, steps, stride", [
+    (["--steps", "10", "--stride", "3"], 10, 3), (["--steps", "1"], 1, 1)])
+def test_evolve_refuses_an_unusable_stride_before_propagating(
+        monkeypatch, capsys, argv, steps, stride):
+    def refuse(*args):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(dyn, "split_step_propagate", refuse)
+    message = ("stride must divide steps into at least 2 intervals, got "
+               "steps %d and stride %d" % (steps, stride))
+    assert run(["evolve", *EVOLVE_GRID, *argv], capsys) == (
+        2, "", '{"error": {"code": 2, "kind": "config", "message": "%s"}}\n'
+        % message)
+
+
 @pytest.mark.parametrize("potential", [
     "harmonic:inf", "harmonic:nan", "barrier:nan,1.0,3.0",
     "barrier:1.0,inf,3.0"])

@@ -7,10 +7,10 @@ import dense_oracle
 import locmom as lm
 from locmom import dynamics as dyn
 from locmom import moments as mm
-from locmom.core import spatial_derivative
 from locmom.phasespace import BLOCK_CELLS
 
 from conftest import GAUSS, density
+from dense_oracle import spatial_derivative
 
 COHERENT = lm.Gaussian(s=1.0 / np.sqrt(2.0), k0=0.0, q0=1.0)
 

@@ -100,9 +100,10 @@ def _scales_a_max(node) -> bool:
 
 
 # README's library section documents these two observable constructors,
-# next to momentum_power, as how a user states any other observable; no
-# command, benchmark request or acceptance criterion builds one.
-DOCUMENTED_IN_README = {"position_function", "linear_action"}
+# next to momentum_power, as how a user states any other observable, and
+# recipe_text, the canonical text of a state recipe; no command, benchmark
+# request or acceptance criterion calls one.
+DOCUMENTED_IN_README = {"position_function", "linear_action", "recipe_text"}
 
 
 def test_every_public_name_has_a_user():
@@ -115,12 +116,22 @@ def test_every_public_name_has_a_user():
                + sorted((repo / "perfbench").glob("*.py"))
                + [repo / "tests" / "test_acceptance.py"])
     used = set()
+
+    def scan(node, defining):
+        # a use inside the name's own definition, such as a recursive
+        # call, is not a user
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name):
+            used.update({node.id} - defining)
+        elif isinstance(node, ast.Attribute):
+            used.update({node.attr} - defining)
+        for child in ast.iter_child_nodes(node):
+            scan(child, defining)
+
     for path in readers:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        scan(ast.parse(path.read_text(encoding="utf-8")), frozenset())
     public = {name for name in dir(locmom) if not name.startswith("_")
               and not isinstance(getattr(locmom, name), types.ModuleType)}
     assert sorted(public - used - DOCUMENTED_IN_README) == []

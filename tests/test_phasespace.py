@@ -14,14 +14,14 @@ import locmom as lm
 from locmom import classical as cl
 from locmom import moments as mm
 from locmom import phasespace as ps
-from locmom.core import spatial_derivative
 
 from conftest import (CORPUS, GAUSS, TWO_GAUSS, density, make_state,
                       traced_peak, use_bands)
 from dense_oracle import (characteristic_function_S, conditional_direct,
                           conditional_full, global_average,
                           margenau_hill_direct, margenau_hill_full,
-                          momentum_amplitudes_at, wigner_direct, wigner_full)
+                          momentum_amplitudes_at, spatial_derivative,
+                          wigner_direct, wigner_full)
 
 PLANE_K = 2.0 * np.pi * 4.0 / 40.0
 
