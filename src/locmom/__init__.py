@@ -24,7 +24,7 @@ from .classical import (classical_variance_decomposition, gaussian_density,
 from .dynamics import (EvolutionTrace, Potential, PropagationConfig,
                        free_potential, gaussian_barrier, harmonic_potential,
                        hydrodynamic_residuals, kinetic_energy_densities,
-                       split_step_propagate)
+                       split_step_propagate, stream_trace)
 from .states import (Gaussian, GaussianOracle, OscillatorEigenstate,
                      PlaneWave, StateRecipe, Superposition, gaussian_oracle,
                      parse_recipe, recipe_text, synthesize)

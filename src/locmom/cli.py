@@ -13,10 +13,11 @@ serves all four subcommands; flags override it.
 Every command is deterministic: identical configuration produces
 byte-identical output files (floats at 17 significant digits).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-precondition
-failure (among them an n x n transform whose estimated peak memory exceeds
-its budget), 4 internal self-check failure.  Errors are reported as one
-machine-readable JSON line on stderr.
+Exit codes: 0 success, 2 configuration error (among them an --out file
+that cannot be written), 3 numerical-precondition failure (among them an
+n x n transform whose estimated peak memory exceeds its budget), 4
+internal self-check failure.  Errors are reported as one machine-readable
+JSON line on stderr, and a failing request writes no --out file.
 
 The `locmom` console script and `python -m locmom.cli` both run entry(),
 which freezes the objects alive after import out of the garbage
@@ -27,6 +28,7 @@ callers, leaves the collector as it is.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -37,7 +39,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import classical, dynamics, io, moments, phasespace, states
-from .core import make_grid
+from .core import Wavefunction, make_grid
 from .errors import (ConfigError, LocmomError, PreconditionError,
                      SelfCheckError, check)
 
@@ -59,7 +61,9 @@ def _one_of(*values: str):
 # n = 2**12..2**16), most of it the CSV text of `moments --definition all`;
 # the W kernel adds O(n) and one block of phasespace.BLOCK_CELLS / 2
 # complex cells.  2**18 points keep that near 0.2 GB, within the 1 GiB
-# phasespace.N2_MEMORY_BUDGET.
+# phasespace.N2_MEMORY_BUDGET.  evolve streams its traces a chunk of
+# dynamics.CHUNK_ROWS points at a time, so its peak, O(CHUNK_ROWS + n),
+# does not grow with --steps.
 GRID_N_MAX = 2 ** 18
 _GRID_N = ("an integer at most %d" % GRID_N_MAX,
            lambda v: type(v) is int and v <= GRID_N_MAX)
@@ -220,62 +224,71 @@ def _definitions(cfg: RunConfig) -> list[str]:
         else [cfg.definition]
 
 
-def _write_output(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The text file that replaces out when the block completes
+    (io.output_files), or stdout if out is None."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with io.output_files([out]) as (fh,):
+            yield fh
 
 
 def cmd_moments(cfg: RunConfig) -> int:
-    _, _, psi = _setup(cfg)
-    if cfg.order == "variance":
-        local, A = moments.local_variance, moments.momentum_power(1)
-    else:
-        local, A = moments.local_value, moments.momentum_power(int(cfg.order))
-    profiles = [local(psi, A, d, cfg.mask_eps) for d in _definitions(cfg)]
-    _write_output(io.profile_csv(profiles) if cfg.format == "csv"
-                  else io.profile_json(profiles), cfg.out)
+    with _output(cfg.out) as fh:
+        _, _, psi = _setup(cfg)
+        if cfg.order == "variance":
+            local, A = moments.local_variance, moments.momentum_power(1)
+        else:
+            local, A = (moments.local_value,
+                        moments.momentum_power(int(cfg.order)))
+        profiles = [local(psi, A, d, cfg.mask_eps) for d in _definitions(cfg)]
+        fh.write(io.profile_csv(profiles) if cfg.format == "csv"
+                 else io.profile_json(profiles))
     return 0
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
-    _, _, psi = _setup(cfg)
-    A = moments.momentum_power(1)
-    direct = moments.direct_variance(psi, A)
-    records = []
-    for definition in _definitions(cfg):
-        deco = moments.variance_decomposition(psi, A, definition, cfg.mask_eps)
-        residual = abs(deco.total - direct)
-        check("decomposition of definition %s, |sum - direct|" % definition,
-              residual, DECOMPOSE_RESIDUAL_TOL, SelfCheckError, strict=True)
-        records.append({"definition": definition,
-                        "avg_local_variance": deco.avg_local_variance,
-                        "variance_of_local_avg": deco.variance_of_local_avg,
-                        "total": deco.total,
-                        "direct_total": direct,
-                        "residual": residual})
-    payload = records[0] if len(records) == 1 else records
-    _write_output(io.json_text(payload), cfg.out)
+    with _output(cfg.out) as fh:
+        _, _, psi = _setup(cfg)
+        A = moments.momentum_power(1)
+        direct = moments.direct_variance(psi, A)
+        records = []
+        for definition in _definitions(cfg):
+            deco = moments.variance_decomposition(psi, A, definition,
+                                                  cfg.mask_eps)
+            residual = abs(deco.total - direct)
+            check("decomposition of definition %s, |sum - direct|"
+                  % definition, residual, DECOMPOSE_RESIDUAL_TOL,
+                  SelfCheckError, strict=True)
+            records.append({"definition": definition,
+                            "avg_local_variance": deco.avg_local_variance,
+                            "variance_of_local_avg":
+                                deco.variance_of_local_avg,
+                            "total": deco.total,
+                            "direct_total": direct,
+                            "residual": residual})
+        fh.write(io.json_text(records[0] if len(records) == 1 else records))
     return 0
 
 
 def cmd_distribution(cfg: RunConfig) -> int:
-    grid, recipe, psi = _setup(cfg)
-    if cfg.kind == "wigner":
-        dist = phasespace.wigner_transform(psi)
-    elif cfg.kind == "mh":
-        dist = phasespace.margenau_hill_transform(psi)
-    else:
-        dist = classical.wigner_as_classical(recipe, grid, psi)
-
-    if cfg.out is not None:
-        if cfg.format == "csv":
-            _write_output(io.distribution_csv(dist), cfg.out)
+    binary = cfg.format == "binary"
+    with io.output_files([] if cfg.out is None else [cfg.out],
+                         binary) as files:
+        grid, recipe, psi = _setup(cfg)
+        if cfg.kind == "wigner":
+            dist = phasespace.wigner_transform(psi)
+        elif cfg.kind == "mh":
+            dist = phasespace.margenau_hill_transform(psi)
         else:
-            with open(cfg.out, "wb") as fh:
-                fh.write(io.distribution_binary(dist))
+            dist = classical.wigner_as_classical(recipe, grid, psi)
+        for fh in files:
+            if binary:
+                io.distribution_binary(dist, fh)
+            else:
+                fh.write(io.distribution_csv(dist))
 
     min_value, min_q, min_p = dist.min_cell()
     meta = {"kind": dist.kind, "n": grid.n, "dq": grid.dq, "dp": dist.dp,
@@ -311,37 +324,47 @@ def cmd_evolve(cfg: RunConfig) -> int:
         raise ConfigError("stride must divide steps into at least 2 "
                           "intervals, got steps %d and stride %d"
                           % (cfg.steps, cfg.stride))
-    grid, _, psi = _setup(cfg)
-    V = _parse_potential(cfg.potential, grid)
-    run = dynamics.PropagationConfig(cfg.dt, cfg.steps, cfg.stride)
-    half = dynamics.PropagationConfig(cfg.dt / 2.0, cfg.steps * 2, cfg.stride)
-    trace = dynamics.split_step_propagate(psi, V, run)
-    trace_half = dynamics.split_step_propagate(psi, V, half)
+    targets = [] if cfg.out is None else [
+        cfg.out + suffix for suffix in ("_rho.csv", "_pbar.csv",
+                                        "_report.json")]
+    with io.output_files(targets) as files:
+        grid, _, psi = _setup(cfg)
+        V = _parse_potential(cfg.potential, grid)
+        run = dynamics.PropagationConfig(cfg.dt, cfg.steps, cfg.stride)
+        half = dynamics.PropagationConfig(cfg.dt / 2.0, cfg.steps * 2,
+                                          cfg.stride)
+        for fh in files[:2]:
+            fh.write(io.trace_head(V.label, cfg.stride * cfg.dt, grid))
 
-    cont, euler, rho, pbar, mask = dynamics.hydrodynamic_residuals(
-        trace, cfg.mask_eps)
-    cont_half, euler_half = dynamics.hydrodynamic_residuals(
-        trace_half, cfg.mask_eps)[:2]
-    drift = max(abs(s.norm() - 1.0) for s in trace.snapshots)
+        def emit(times, rho, pbar, own):
+            files[0].write(io.trace_csv(grid, times, rho, np.ones_like(own)))
+            files[1].write(io.trace_csv(grid, times, pbar, own))
 
-    report = {"potential": V.label, "dt": cfg.dt, "steps": cfg.steps,
-              "stride": cfg.stride,
-              "continuity_residual": cont,
-              "continuity_residual_half_dt": cont_half,
-              "continuity_ratio": cont / cont_half if cont_half else None,
-              "euler_residual": euler,
-              "euler_residual_half_dt": euler_half,
-              "euler_ratio": euler / euler_half if euler_half else None,
-              "q_mean_initial": dynamics.position_mean(trace.snapshots[0]),
-              "q_mean_final": dynamics.position_mean(trace.snapshots[-1]),
-              "norm_drift_max": drift}
+        # the unitarity of both traces, then the residual checks of each
+        full, final = dynamics.stream_trace(psi, V, run, cfg.mask_eps,
+                                            emit if files else None)
+        halved = dynamics.stream_trace(psi, V, half, cfg.mask_eps)[0]
+        for reduced in (full, halved):
+            if reduced.error is not None:
+                raise reduced.error
+
+        cont, euler = full.continuity, full.euler
+        cont_half, euler_half = halved.continuity, halved.euler
+        report = {"potential": V.label, "dt": cfg.dt, "steps": cfg.steps,
+                  "stride": cfg.stride,
+                  "continuity_residual": cont,
+                  "continuity_residual_half_dt": cont_half,
+                  "continuity_ratio": cont / cont_half if cont_half else None,
+                  "euler_residual": euler,
+                  "euler_residual_half_dt": euler_half,
+                  "euler_ratio": euler / euler_half if euler_half else None,
+                  "q_mean_initial": dynamics.position_mean(psi),
+                  "q_mean_final": dynamics.position_mean(
+                      Wavefunction(grid, final)),
+                  "norm_drift_max": full.drift}
+        for fh in files[2:]:
+            fh.write(io.json_text(report))
     sys.stdout.write(io.json_text(report))
-
-    if cfg.out is not None:
-        _write_output(io.trace_csv(trace, rho, np.ones_like(mask)),
-                      cfg.out + "_rho.csv")
-        _write_output(io.trace_csv(trace, pbar, mask), cfg.out + "_pbar.csv")
-        _write_output(io.json_text(report), cfg.out + "_report.json")
     return 0
 
 

@@ -3,7 +3,7 @@ the continuity equation for rho, the Euler-form equation for the Wigner
 local momentum with its quantum pressure term, and the three competing
 local kinetic-energy densities.
 
-Residuals are evaluated with centered differences in time on the stored
+Residuals are evaluated with centered differences in time on the
 snapshots (never re-derived from the propagator internals) and spectral
 derivatives in space, reported as the max over interior times and
 masked-in grid points.  Quotient fields like pbar = D/rho lose all
@@ -23,14 +23,20 @@ back rho and pbar = D/rho of every snapshot: pbar is the S local value of
 p, so the evolve trace needs no pass of its own.  The split-step kinetic
 factor goes through the same seam.
 
-A trace is worked on in chunks of consecutive snapshots stacked as
-(snapshots, n) arrays: the fields, the Wigner cross-check and the time
-differences each run over a whole chunk at once, so that the cost per
-snapshot is the arithmetic on its rows and not a round of Python and
-FFT set-up.  Chunks hold max(1, CHUNK_ROWS // n) snapshots, which keeps
-the working set O(CHUNK_ROWS + n) beyond the stored fields.  The checks
-keep the order of a snapshot-by-snapshot pass: the first snapshot in time
-that fails raises the error of its first failing check.
+A trace is one stream of chunks of consecutive snapshots, stacked as
+(snapshots, n) arrays of chunk_length(n) = max(1, CHUNK_ROWS // n) rows:
+split_step_chunks yields them as it propagates, ResidualPass checks and
+reduces them as they come, and stream_trace runs one trace through both.
+The fields, the Wigner cross-check and the time differences each run over
+a whole chunk at once, so that the cost per snapshot is the arithmetic on
+its rows and not a round of Python and FFT set-up.  The pass keeps the
+last two snapshots of one chunk for the centred time differences of the
+next, and running maxima of the residuals and the norm drift, so nothing
+of size steps x n is held and the working set is O(CHUNK_ROWS + n).  The
+checks keep the order of a snapshot-by-snapshot pass: the first snapshot
+in time that fails gives the error of its first failing check.
+split_step_propagate and hydrodynamic_residuals collect the same stream
+into whole traces.
 """
 
 from __future__ import annotations
@@ -42,11 +48,17 @@ import numpy as np
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    quotient_on, require_normalized, spectral_multiply,
                    support_mask)
-from .errors import PreconditionError, SelfCheckError, check
+from .errors import LocmomError, PreconditionError, SelfCheckError, check
 from .moments import moment_densities, momentum_power
 from .phasespace import wigner_moment_density_stack
 
 STABILITY_LIMIT = 0.5
+# the largest norm drift |norm - 1| that a propagated trace may show
+UNITARITY_TOL = 1e-9
+
+# Snapshot rows (snapshots x grid points) that a trace is propagated,
+# checked and reduced in at once: a chunk holds chunk_length(n) snapshots.
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,36 +132,77 @@ def check_stability(grid: GridSpec, dt: float) -> None:
           hint="suggested dt < %.3g" % (0.45 * grid.hbar / t_max))
 
 
-def split_step_propagate(psi0: Wavefunction, V: Potential,
-                         cfg: PropagationConfig) -> EvolutionTrace:
+def chunk_length(n: int) -> int:
+    """Snapshots per chunk of a trace on an n-point grid."""
+    return max(1, CHUNK_ROWS // n)
+
+
+def _snapshot_steps(cfg: PropagationConfig) -> list[int]:
+    """The steps after which a trace takes a snapshot: every
+    snapshot_stride steps, and the initial and final states."""
+    return [step for step in range(cfg.steps + 1)
+            if step % cfg.snapshot_stride == 0 or step == cfg.steps]
+
+
+def snapshot_times(cfg: PropagationConfig) -> np.ndarray:
+    """Times of the snapshots that split_step_chunks yields."""
+    return np.array([step * cfg.dt for step in _snapshot_steps(cfg)])
+
+
+def split_step_chunks(psi0: Wavefunction, V: Potential,
+                      cfg: PropagationConfig):
     """Strang splitting exp(-iV dt/2) exp(-iT dt) exp(-iV dt/2) per step;
-    unitary, second order in dt.  Snapshots every snapshot_stride steps,
-    including the initial and final states."""
+    unitary, second order in dt.  Yields the amplitudes of the snapshots,
+    every snapshot_stride steps and the initial and final states, as
+    consecutive (rows, n) chunks of chunk_length(n) rows (the last may be
+    shorter).  The norm drift is left to the consumer (check_unitarity)."""
     require_normalized(psi0)
     g = psi0.grid
     check_stability(g, cfg.dt)
     half_v = np.exp(-0.5j * cfg.dt * V.values / g.hbar)
     kinetic = np.exp(-1j * cfg.dt * g.p_wrapped ** 2 / (2.0 * g.mass * g.hbar))
     amp = np.array(psi0.amp, dtype=complex)
-    times = [0.0]
-    snapshots = [Wavefunction(g, amp.copy())]
-    for step in range(1, cfg.steps + 1):
-        amp = half_v * spectral_multiply(half_v * amp, kinetic)[0]
-        if step % cfg.snapshot_stride == 0 or step == cfg.steps:
-            times.append(step * cfg.dt)
-            snapshots.append(Wavefunction(g, amp.copy()))
-    trace = EvolutionTrace(potential=V, times=np.array(times),
-                           snapshots=tuple(snapshots))
-    check("unitarity, norm drift |norm - 1|",
-          np.max([abs(s.norm() - 1.0) for s in trace.snapshots]), 1e-9,
+    chunk = np.empty((chunk_length(g.n), g.n), dtype=complex)
+    filled = done = 0
+    for step in _snapshot_steps(cfg):
+        for _ in range(step - done):
+            amp = half_v * spectral_multiply(half_v * amp, kinetic)[0]
+        done = step
+        chunk[filled] = amp
+        filled += 1
+        if filled == len(chunk):
+            yield chunk
+            chunk, filled = np.empty_like(chunk), 0
+    if filled:
+        yield chunk[:filled]
+
+
+def norm_drift(amps: np.ndarray, g: GridSpec) -> float:
+    """The largest |norm - 1| of the amplitude rows."""
+    norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1) * g.dq)
+    return float(np.max(np.abs(norms - 1.0)))
+
+
+def check_unitarity(drift: float) -> None:
+    check("unitarity, norm drift |norm - 1|", drift, UNITARITY_TOL,
           PreconditionError)
-    return trace
 
 
-def _require_uniform_stride(trace: EvolutionTrace) -> float:
-    if len(trace.snapshots) < 3:
+def split_step_propagate(psi0: Wavefunction, V: Potential,
+                         cfg: PropagationConfig) -> EvolutionTrace:
+    """The snapshots of split_step_chunks as one trace, after
+    check_unitarity over all of them."""
+    amps = np.concatenate(list(split_step_chunks(psi0, V, cfg)))
+    check_unitarity(norm_drift(amps, psi0.grid))
+    return EvolutionTrace(potential=V, times=snapshot_times(cfg),
+                          snapshots=tuple(Wavefunction(psi0.grid, a)
+                                          for a in amps))
+
+
+def _require_uniform_stride(times: np.ndarray) -> float:
+    if len(times) < 3:
         raise PreconditionError("need at least 3 snapshots for residuals")
-    gaps = np.diff(trace.times)
+    gaps = np.diff(times)
     if not gaps[0] > 0:
         raise PreconditionError("snapshot times must increase, got a first "
                                 "step of %r" % float(gaps[0]))
@@ -184,13 +237,8 @@ def _amplitude_fields(amps: np.ndarray, g: GridSpec,
 
 WIGNER_MOMENT_DENSITY_TOL = 1e-8
 
-# Snapshot rows (snapshots x grid points) that hydrodynamic_residuals
-# works on at once, beyond the fields it stores: a chunk holds
-# max(1, CHUNK_ROWS // n) snapshots.
-CHUNK_ROWS = 4096
 
-
-def _checked_fields(snapshots, g: GridSpec, out: np.ndarray) -> None:
+def _checked_fields(amps: np.ndarray, g: GridSpec, out: np.ndarray) -> None:
     """Amplitude fields of consecutive snapshots (written to out), each
     cross-checked against its Wigner moment densities.
 
@@ -206,7 +254,6 @@ def _checked_fields(snapshots, g: GridSpec, out: np.ndarray) -> None:
     differencing.  The first snapshot that fails raises the error of its
     first failing check: normalization, pad mode, then the densities.
     """
-    amps = np.stack([s.amp for s in snapshots])
     m2 = _amplitude_fields(amps, g, out)
     (m1w, m2w), error = wigner_moment_density_stack(amps, g, (1, 2))
     D, m2 = out[2, :len(m1w)], m2[:len(m1w)]
@@ -219,21 +266,18 @@ def _checked_fields(snapshots, g: GridSpec, out: np.ndarray) -> None:
         raise error
 
 
-def hydrodynamic_residuals(trace: EvolutionTrace,
-                           eps_factor: float = DEFAULT_MASK_EPS) -> tuple:
-    """(continuity, euler, rho, pbar, mask) of the trace: the largest
-    residuals of the continuity equation
+class ResidualPass:
+    """The residuals of the continuity equation
 
         d(rho)/dt + d(rho pbar/m)/dq = 0
 
     and of the Euler-form equation for the Wigner local momentum
 
         d(pbar_W)/dt = -(pbar_W/m) d(pbar_W)/dq - dV/dq
-                       - (1/(m rho)) d(rho sigma2_W)/dq,
+                       - (1/(m rho)) d(rho sigma2_W)/dq
 
-    then the (T, n) rows of rho, of pbar = D/rho and of pbar's mask
-    (core.support_mask of each rho row), each row the local_value of p
-    under S of its snapshot.  The first local momentum moment is
+    over a trace at the given snapshot times, fed its snapshots in time
+    order a chunk at a time (feed).  The first local momentum moment is
     definition-independent (S = MH = W), so D is evaluated once from the
     amplitudes; the Wigner moment densities of every snapshot are checked
     against, and the Euler residual evaluated through, their bilinear
@@ -241,53 +285,113 @@ def hydrodynamic_residuals(trace: EvolutionTrace,
     rho sigma2_W = M2 - D^2/rho is differentiated through the expanded
     product rule.
 
-    The five fields of every snapshot are computed once and stored as
-    (T, n) arrays, chunk by chunk of max(1, CHUNK_ROWS // n) snapshots,
-    and each chunk is checked against its Wigner moment densities
-    before the next, so that the first snapshot in time order that fails
-    raises.  The centred time differences then run over the interior
-    times of each chunk at once, reading one stored snapshot beyond the
-    chunk on each side.  Beyond the stored 6 T n floats the working set
-    is O(CHUNK_ROWS + n)."""
-    dt = _require_uniform_stride(trace)
-    g = trace.snapshots[0].grid
-    mass = g.mass
-    grad_v = trace.potential.grad
-    count = len(trace.snapshots)
-    chunk = max(1, CHUNK_ROWS // g.n)
-    fields = np.empty((5, count, g.n))  # rho, drho, D, dD, dm2
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        _checked_fields(trace.snapshots[start:stop], g, fields[:, start:stop])
-    rho_all, D_all = fields[0], fields[2]
-    own = support_mask(rho_all, eps_factor)
-    pbar_all = quotient_on(own, D_all, rho_all)
+    continuity, euler and drift are running maxima over the snapshots fed
+    so far: the residuals over interior times and masked-in points (the
+    mask of a time is core.support_mask of rho at it and at both
+    neighbours), and the norm drift |norm - 1|.  The pass keeps the last
+    two snapshots' fields for the centred time differences of the next
+    chunk.  The first check that fails, on the times or on a snapshot,
+    is kept in error rather than raised: later chunks then only add to
+    drift, so that a caller can put the unitarity of the whole trace
+    first."""
 
-    continuity = euler = 0.0
-    for start in range(1, count - 1, chunk):
-        # the chunk's interior times and one stored snapshot on each side
-        stop = min(start + chunk, count - 1)
-        rho_w, pbar, near = (a[start - 1:stop + 1]
-                             for a in (rho_all, pbar_all, own))
+    def __init__(self, grid: GridSpec, potential: Potential,
+                 times: np.ndarray, eps_factor: float = DEFAULT_MASK_EPS):
+        self.grid, self.grad_v = grid, potential.grad
+        self.eps_factor = eps_factor
+        self.continuity = self.euler = self.drift = 0.0
+        self.error = self.tail = None
+        try:
+            self.dt = _require_uniform_stride(times)
+        except PreconditionError as exc:
+            self.error = exc
+
+    def feed(self, amps: np.ndarray):
+        """(rho, pbar, own) rows of the next chunk of snapshot amplitudes,
+        pbar = D/rho the S local value of p and own its support_mask, or
+        None once a check has failed (drift still takes in the chunk)."""
+        self.drift = max(self.drift, norm_drift(amps, self.grid))
+        if self.error is not None:
+            return None
+        fields = np.empty((5, *amps.shape))  # rho, drho, D, dD, dm2
+        try:
+            _checked_fields(amps, self.grid, fields)
+            own = support_mask(fields[0], self.eps_factor)
+        except LocmomError as exc:
+            self.error = exc
+            return None
+        pbar = quotient_on(own, fields[2], fields[0])
+        window = fields, pbar, own
+        if self.tail is not None:
+            window = [np.concatenate(pair, axis=-2)
+                      for pair in zip(self.tail, window)]
+        self._differences(*window)
+        self.tail = tuple(a[..., -2:, :].copy() for a in window)
+        # a copy of rho, so that the chunk's fields are freed on return
+        return fields[0].copy(), pbar, own
+
+    def _differences(self, fields, pbar_w, near) -> None:
+        """Fold the residuals at the interior times of a window of
+        consecutive snapshots into the running maxima."""
+        mass, dt = self.grid.mass, self.dt
         mask = near[:-2] & near[1:-1] & near[2:]
-        rho, drho, D, dD, dm2 = fields[:, start:stop]
-        drho_dt = (rho_w[2:] - rho_w[:-2]) / (2.0 * dt)
+        rho, drho, D, dD, dm2 = fields[:, 1:-1]
+        drho_dt = (fields[0, 2:] - fields[0, :-2]) / (2.0 * dt)
         flux = drho_dt + dD / mass
-        continuity = max(continuity, float(np.max(np.abs(flux), where=mask,
-                                                  initial=0.0)))
-        dpbar_dt = (pbar[2:] - pbar[:-2]) / (2.0 * dt)
+        self.continuity = max(self.continuity, float(
+            np.max(np.abs(flux), where=mask, initial=0.0)))
+        dpbar_dt = (pbar_w[2:] - pbar_w[:-2]) / (2.0 * dt)
         dpbar_dq = quotient_on(mask, dD * rho - D * drho, rho ** 2)
         # d(rho sigma2_W)/dq / rho  with  rho sigma2_W = M2 - D^2/rho
         pressure = quotient_on(mask,
                                dm2 - quotient_on(mask, 2.0 * D * dD, rho)
                                + quotient_on(mask, D ** 2 * drho, rho ** 2),
                                rho)
-        residual = (dpbar_dt + pbar[1:-1] * dpbar_dq / mass + grad_v
+        residual = (dpbar_dt + pbar_w[1:-1] * dpbar_dq / mass + self.grad_v
                     + pressure / mass)
-        euler = max(euler, float(np.max(np.abs(residual), where=mask,
-                                        initial=0.0)))
-    # a copy of rho, so that the stored fields are freed on return
-    return continuity, euler, rho_all.copy(), pbar_all, own
+        self.euler = max(self.euler, float(
+            np.max(np.abs(residual), where=mask, initial=0.0)))
+
+
+def stream_trace(psi0: Wavefunction, V: Potential, cfg: PropagationConfig,
+                 eps_factor: float = DEFAULT_MASK_EPS, emit=None) -> tuple:
+    """(ResidualPass, final amplitudes) of one trace, propagated, checked
+    and reduced a chunk at a time.  emit(times, rho, pbar, own), if
+    given, receives each chunk's rows while no check has failed.  Raises
+    the unitarity failure of the trace; a failing residual check is left
+    in the pass's error, so that a caller can rank it below the unitarity
+    of another trace."""
+    times = snapshot_times(cfg)
+    reduced, done = ResidualPass(psi0.grid, V, times, eps_factor), 0
+    for amps in split_step_chunks(psi0, V, cfg):
+        rows = reduced.feed(amps)
+        if emit is not None and rows is not None:
+            emit(times[done:done + len(amps)], *rows)
+        done += len(amps)
+    check_unitarity(reduced.drift)
+    return reduced, amps[-1]
+
+
+def hydrodynamic_residuals(trace: EvolutionTrace,
+                           eps_factor: float = DEFAULT_MASK_EPS) -> tuple:
+    """(continuity, euler, rho, pbar, mask) of the trace: the residuals of
+    a ResidualPass fed its snapshots, then the (T, n) rows of rho, of
+    pbar = D/rho and of pbar's mask (core.support_mask of each rho row),
+    each row the local_value of p under S of its snapshot.  Raises the
+    first failing check of the pass."""
+    g = trace.snapshots[0].grid
+    reduced = ResidualPass(g, trace.potential, trace.times, eps_factor)
+    count, rows = len(trace.snapshots), chunk_length(g.n)
+    rho, pbar = np.empty((2, count, g.n))
+    own = np.empty((count, g.n), dtype=bool)
+    for start in range(0, count, rows):
+        chunk = reduced.feed(np.stack([s.amp for s in
+                                       trace.snapshots[start:start + rows]]))
+        if chunk is None:
+            raise reduced.error
+        for out, values in zip((rho, pbar, own), chunk):
+            out[start:start + rows] = values
+    return reduced.continuity, reduced.euler, rho, pbar, own
 
 
 def kinetic_energy_densities(psi: Wavefunction) -> dict[str, RealProfile]:

@@ -14,7 +14,10 @@ Binary distribution layout (little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 import struct
 from typing import Iterable
 
@@ -68,16 +71,17 @@ def distribution_csv(dist: QuasiDistribution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def distribution_binary(dist: QuasiDistribution) -> bytes:
+def distribution_binary(dist: QuasiDistribution, fh) -> None:
+    """Write the binary layout to the binary file fh: the header, then
+    the lattice's own buffer (a copy only if it is not contiguous <f8)."""
     kind_bytes = dist.kind.encode("ascii")
     if len(kind_bytes) > 16:
         raise ConfigError("kind %r does not fit the 16-byte header field"
                           % dist.kind)
     grid = dist.grid
-    header = _HEADER.pack(kind_bytes.ljust(16, b"\0"), grid.n,
-                          grid.dq, dist.dp, grid.hbar)
-    body = np.ascontiguousarray(dist.values, dtype="<f8").tobytes()
-    return header + body
+    fh.write(_HEADER.pack(kind_bytes.ljust(16, b"\0"), grid.n,
+                          grid.dq, dist.dp, grid.hbar))
+    fh.write(np.ascontiguousarray(dist.values, dtype="<f8").ravel())
 
 
 def read_distribution_binary(blob: bytes):
@@ -102,23 +106,91 @@ def read_distribution_binary(blob: bytes):
     return kind, n, dq, dp, hbar, values
 
 
-def trace_csv(trace, values_per_time: list[np.ndarray],
-              masks_per_time: list[np.ndarray]) -> str:
-    """Per-observable trace CSV with columns t, q, value, mask, preceded by
-    comment lines recording the potential label, dt, hbar and mass."""
-    grid = trace.snapshots[0].grid
-    dt = trace.times[1] - trace.times[0] if len(trace.times) > 1 else 0.0
-    lines = ["# potential=%s" % trace.potential.label,
-             "# dt=%s" % fmt(dt),
-             "# hbar=%s" % fmt(grid.hbar),
-             "# mass=%s" % fmt(grid.mass),
-             "t,q,value,mask"]
+def trace_head(label: str, dt: float, grid) -> str:
+    """The comment lines that open a trace CSV, recording the potential
+    label, dt, hbar and mass, and its column row t, q, value, mask."""
+    return "".join(line + "\n" for line in (
+        "# potential=%s" % label, "# dt=%s" % fmt(dt),
+        "# hbar=%s" % fmt(grid.hbar), "# mass=%s" % fmt(grid.mass),
+        "t,q,value,mask"))
+
+
+def trace_csv(grid, times: np.ndarray, values: np.ndarray,
+              masks: np.ndarray) -> str:
+    """The trace CSV lines t, q, value, mask of consecutive snapshots:
+    times (T,), values and masks (T, n) rows on the grid."""
     q = fmt_column(grid.q)
-    for t, vals, mask in zip(fmt_column(trace.times), values_per_time,
-                             masks_per_time):
-        lines += ["%s,%s,%s,%d" % (t, qj, v, m)
+    lines = []
+    for t, vals, mask in zip(fmt_column(times), values, masks):
+        lines += ["%s,%s,%s,%d\n" % (t, qj, v, m)
                   for qj, v, m in zip(q, fmt_column(vals), mask.tolist())]
-    return "\n".join(lines) + "\n"
+    return "".join(lines)
+
+
+@contextlib.contextmanager
+def output_files(paths: list[str], binary: bool = False):
+    """Files that become paths only if the block completes: each is a
+    new temporary file beside its path, opened before the block runs as
+    open(path, "w") would open the path (text in UTF-8 with no newline
+    translation, or binary; the mode open gives a new file, or the
+    permission bits of the file it replaces), and moved over the file the
+    path names at the end.  If the block raises, the temporary files are
+    removed and no path is touched.  A path that exists and is not a
+    regular file, such as a device or a pipe, is written in place.  A
+    path that cannot be written raises ConfigError naming it."""
+    opened = []  # (file, its temporary name, the file it replaces)
+    try:
+        for path in paths:
+            opened.append(_writing(path, _open_beside, path, binary))
+        yield [fh for fh, _, _ in opened]
+        for (fh, _, _), path in zip(opened, paths):
+            _writing(path, fh.close)
+        for (_, name, target), path in zip(opened, paths):
+            if target is not None:
+                _writing(path, os.replace, name, target)
+    finally:
+        for fh, name, target in opened:
+            fh.close()
+            if target is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(name)
+
+
+def _open_beside(path: str, binary: bool) -> tuple:
+    """(file, name, target): a new temporary file beside the file path
+    names, its name and that file's real path; or, for a path that is
+    not a regular file, the path opened in place, the path and None.
+    The temporary name is created, never followed or truncated."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        name, target = path, None
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    else:
+        target = os.path.realpath(path)
+        name = "%s.%d.tmp" % (target, os.getpid())
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            mode = None
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            if mode is not None:
+                os.fchmod(fd, mode)
+        except OSError:
+            os.close(fd)
+            os.remove(name)
+            raise
+    if binary:
+        return os.fdopen(fd, "wb"), name, target
+    return os.fdopen(fd, "w", encoding="utf-8", newline=""), name, target
+
+
+def _writing(path: str, call, *args):
+    """call(*args), with an OSError turned into a ConfigError on path."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise ConfigError("cannot write output file %s: %s"
+                          % (path, exc.strerror or exc))
 
 
 def json_text(payload) -> str:

@@ -2,8 +2,10 @@ import argparse
 import gc
 import json
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -454,6 +456,188 @@ def test_evolve_reports_the_first_failing_snapshot(capsys, argv, code,
     assert run(["evolve", *EVOLVE_GRID, *argv], capsys) == (code, "", message)
 
 
+BARRIER_FAILURE = ["--potential", "barrier:2.0,1.0,3.0"]
+EVOLVE_OUT = ("run_rho.csv", "run_pbar.csv", "run_report.json")
+
+
+def test_a_failing_evolve_leaves_no_output_file(tmp_path, capsys):
+    code, out, _ = run(["evolve", *EVOLVE_GRID, *BARRIER_FAILURE,
+                        "--out", str(tmp_path / "run")], capsys)
+    assert (code, out) == (4, "")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("existing", EVOLVE_OUT)
+def test_a_failing_evolve_leaves_an_existing_target_unchanged(
+        tmp_path, capsys, existing):
+    (tmp_path / existing).write_text("kept\n")
+    code, _, _ = run(["evolve", *EVOLVE_GRID, *BARRIER_FAILURE,
+                      "--out", str(tmp_path / "run")], capsys)
+    assert code == 4
+    assert os.listdir(tmp_path) == [existing]
+    assert (tmp_path / existing).read_text() == "kept\n"
+
+
+# (unitarity limit, Wigner density limit, exit code, message) on the free
+# Gaussian of EVOLVE_GRID.  The norm drifts are 2.9e-15 (dt) and 7.8e-15
+# (dt/2); at a density limit of 4e-15 both traces fail a snapshot, at
+# 7e-15 only the dt/2 trace does.  Each case fails every check after the
+# one it pins.
+EVOLVE_PRECEDENCE = [
+    (0.0, 0.0, 3, "unitarity, norm drift |norm - 1|: 2.886579864025407e-15 "
+     "exceeds 0.0"),
+    (5e-15, 0.0, 3, "unitarity, norm drift |norm - 1|: 7.771561172376096e-15"
+     " exceeds 5e-15"),
+    (1e-9, 4e-15, 4, "Wigner moment densities, deviation from their bilinear"
+     " forms: 5.329070518200751e-15 exceeds 4e-15"),
+    (1e-9, 7e-15, 4, "Wigner moment densities, deviation from their bilinear"
+     " forms: 7.105427357601002e-15 exceeds 7e-15")]
+
+
+@pytest.mark.parametrize("unitarity, density, code, message",
+                         EVOLVE_PRECEDENCE,
+                         ids=["dt-unitarity", "half-dt-unitarity",
+                              "dt-snapshot", "half-dt-snapshot"])
+def test_evolve_errors_keep_their_precedence(monkeypatch, capsys, unitarity,
+                                             density, code, message):
+    """The unitarity of the dt trace, then of the dt/2 trace, then the
+    first failing snapshot of the dt trace, then of the dt/2 trace."""
+    monkeypatch.setattr(dyn, "UNITARITY_TOL", unitarity)
+    monkeypatch.setattr(dyn, "WIGNER_MOMENT_DENSITY_TOL", density)
+    status, out, err = run(["evolve", *EVOLVE_GRID], capsys)
+    assert (status, out) == (code, "")
+    assert json.loads(err)["error"]["message"] == message
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_evolve_memory_does_not_grow_with_steps(tmp_path, capsys, out):
+    """The traced peak of 1600 steps stays within one chunk's working set
+    (16 complex arrays of CHUNK_ROWS points) of the peak of 100 steps:
+    each trace is propagated, checked, reduced and written a chunk at a
+    time."""
+    def peak(steps):
+        argv = ["evolve", *EVOLVE_GRID, "--steps", str(steps)]
+        if out:
+            argv += ["--out", str(tmp_path / str(steps))]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    short = peak(100)
+    assert peak(1600) <= short + 16 * dyn.CHUNK_ROWS * 16
+
+
+WRITERS = {
+    "moments": ["moments", *GRID16, "--definition", "S", "--order", "1"],
+    "decompose": ["decompose", *GRID16, "--definition", "S"],
+    "distribution-csv": ["distribution", "--grid-n", "64", "--q-min", "-16",
+                         "--q-max", "16"],
+    "distribution-binary": ["distribution", "--grid-n", "64", "--q-min",
+                            "-16", "--q-max", "16", "--format", "binary"],
+    "evolve": ["evolve", *EVOLVE_GRID, "--steps", "4"]}
+
+
+@pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
+def test_an_out_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys,
+                                                         argv):
+    target = str(tmp_path / "missing" / "x")
+    code, out, err = run([*argv, "--out", target], capsys)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "config"
+    assert error["message"].startswith("cannot write output file " + target)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
+def test_out_files_replace_their_targets_keeping_their_mode(tmp_path,
+                                                             capsys, argv):
+    """A new output file takes the mode a file that open(path, "w")
+    creates takes, a replaced one keeps its permission bits, and nothing
+    else is left beside them."""
+    with open(tmp_path / "reference", "w"):
+        pass
+    mode = os.stat(tmp_path / "reference").st_mode
+    os.remove(tmp_path / "reference")
+    base = str(tmp_path / "x")
+    assert cli.main([*argv, "--out", base]) == 0
+    written = sorted(os.listdir(tmp_path))
+    contents = [(tmp_path / name).read_bytes() for name in written]
+    assert contents and all(contents)
+    assert {os.stat(tmp_path / name).st_mode for name in written} == {mode}
+    for name in written:
+        (tmp_path / name).write_text("old\n")
+        os.chmod(tmp_path / name, 0o600)
+    assert cli.main([*argv, "--out", base]) == 0
+    assert sorted(os.listdir(tmp_path)) == written
+    assert [(tmp_path / name).read_bytes() for name in written] == contents
+    assert {stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+            for name in written} == {0o600}
+    capsys.readouterr()
+
+
+def test_a_link_at_the_temporary_name_is_not_followed(tmp_path, capsys):
+    """The temporary file is created new: a link (or any file) already at
+    its name fails the request, and what the link names is untouched."""
+    (tmp_path / "victim").write_text("kept\n")
+    target = tmp_path / "x"
+    os.symlink(tmp_path / "victim",
+               "%s.%d.tmp" % (os.path.realpath(target), os.getpid()))
+    code, out, err = run([*WRITERS["moments"], "--out", str(target)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == (
+        "cannot write output file %s: File exists" % target)
+    assert (tmp_path / "victim").read_text() == "kept\n"
+    assert not target.exists()
+
+
+def test_an_out_that_is_a_directory_exits_2_before_any_work(
+        monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("computed")
+
+    monkeypatch.setattr(cli, "_setup", refuse)
+    code, out, err = run([*WRITERS["moments"], "--out", str(tmp_path)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == (
+        "cannot write output file %s: Is a directory" % tmp_path)
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_out_through_a_link_replaces_the_file_it_names(tmp_path, capsys):
+    (tmp_path / "real.csv").write_text("old\n")
+    os.symlink("real.csv", tmp_path / "link.csv")
+    assert cli.main([*WRITERS["moments"], "--out",
+                     str(tmp_path / "link.csv")]) == 0
+    assert os.readlink(tmp_path / "link.csv") == "real.csv"
+    assert (tmp_path / "real.csv").read_text().startswith("q,value,mask")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+    capsys.readouterr()
+
+
+def test_an_out_that_is_a_pipe_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        # the profile (about 25 KB) fits the pipe's buffer
+        assert cli.main([*WRITERS["moments"], "--out", str(fifo)]) == 0
+        received = os.read(reader, 1 << 20)
+    finally:
+        os.close(reader)
+    assert received.startswith(b"q,value,mask")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, steps, stride", [
     (["--steps", "10", "--stride", "3"], 10, 3), (["--steps", "1"], 1, 1)])
 def test_evolve_refuses_an_unusable_stride_before_propagating(
@@ -462,6 +646,7 @@ def test_evolve_refuses_an_unusable_stride_before_propagating(
         raise AssertionError("propagated")
 
     monkeypatch.setattr(dyn, "split_step_propagate", refuse)
+    monkeypatch.setattr(dyn, "split_step_chunks", refuse)
     message = ("stride must divide steps into at least 2 intervals, got "
                "steps %d and stride %d" % (steps, stride))
     assert run(["evolve", *EVOLVE_GRID, *argv], capsys) == (

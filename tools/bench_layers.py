@@ -30,6 +30,7 @@ appended to the JSON list in FILE, which is created if absent.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.metadata
 import json
 import os
@@ -39,7 +40,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import deque
 from functools import partial
+from io import StringIO
 
 GRID = ["--q-min", "-16", "--q-max", "16"]
 PROCESS_CASES = (
@@ -79,7 +82,11 @@ def layers():
     import numpy as np
 
     import locmom as lm
-    from locmom import classical, io, moments
+    from locmom import classical, cli, dynamics, io, moments
+
+    # a tree from before the streamed evolve (the parent, in the run that
+    # introduced it) times the same layers through its own signatures
+    streamed = hasattr(dynamics, "ResidualPass")
 
     def gaussian(n):
         # window and width grow with n, so that dq stays 5/64
@@ -98,6 +105,36 @@ def layers():
 
     def trace(n, steps=100):
         return lm.split_step_propagate(*evolve(n, steps))
+
+    def split_step(n):
+        if not streamed:
+            return partial(lm.split_step_propagate, *evolve(n, 100))
+        return lambda: deque(dynamics.split_step_chunks(*evolve(n, 100)),
+                             maxlen=0)
+
+    def residuals(n):
+        if not streamed:
+            return partial(lm.hydrodynamic_residuals, trace(n))
+        psi, V, cfg = evolve(n, 100)
+        chunks = list(dynamics.split_step_chunks(psi, V, cfg))
+        times = dynamics.snapshot_times(cfg)
+
+        def call():
+            reduced = dynamics.ResidualPass(psi.grid, V, times)
+            for amps in chunks:
+                reduced.feed(amps)
+        return call
+
+    def pipeline_evolve(n):
+        # both traces of one request, in process, with the report discarded
+        argv = ["evolve", "--grid-n", str(n), "--q-min", "-16", "--q-max",
+                "16", "--potential", "harmonic:1.0", "--steps", "100"]
+
+        def call():
+            with contextlib.redirect_stdout(StringIO()):
+                if cli.main(argv) != 0:
+                    raise RuntimeError("evolve failed: %r" % argv)
+        return call
 
     def bayes(n):
         psi = gaussian(n)[2]
@@ -130,7 +167,16 @@ def layers():
     def trace_csv(n):
         t = trace(n)
         _, _, _, pbar, mask = lm.hydrodynamic_residuals(t)
-        return partial(io.trace_csv, t, pbar, mask)
+        if not streamed:
+            return partial(io.trace_csv, t, pbar, mask)
+        return partial(io.trace_csv, t.snapshots[0].grid, t.times, pbar, mask)
+
+    def binary(n):
+        dist = lm.wigner_transform(gaussian(n)[2])
+        sink = open(os.devnull, "wb")
+        if not streamed:
+            return lambda: sink.write(io.distribution_binary(dist))
+        return partial(io.distribution_binary, dist, sink)
 
     return (
         ("wigner", N2_SIZES,
@@ -152,15 +198,12 @@ def layers():
          lambda n: partial(lm.synthesize, *gaussian(n)[:2])),
         ("momentum_power", PROFILE_SIZES,
          lambda n: partial(lm.apply_momentum_power, gaussian(n)[2], 2)),
-        ("split_step", EVOLVE_SIZES,
-         lambda n: partial(lm.split_step_propagate, *evolve(n, 100))),
-        ("hydrodynamic_residuals", EVOLVE_SIZES,
-         lambda n: partial(lm.hydrodynamic_residuals, trace(n))),
+        ("split_step", EVOLVE_SIZES, split_step),
+        ("hydrodynamic_residuals", EVOLVE_SIZES, residuals),
+        ("evolve", EVOLVE_SIZES, pipeline_evolve),
         ("profile_csv", PROFILE_SIZES, profiles),
         ("trace_csv", EVOLVE_SIZES, trace_csv),
-        ("distribution_binary", PROFILE_SIZES,
-         lambda n: partial(io.distribution_binary,
-                           lm.wigner_transform(gaussian(n)[2]))),
+        ("distribution_binary", PROFILE_SIZES, binary),
     )
 
 
