@@ -21,10 +21,9 @@ from .phasespace import (QuasiDistribution, bayes_product,
                          wigner_transform)
 from .classical import (classical_variance_decomposition, gaussian_density,
                         momentum_variable, wigner_as_classical)
-from .dynamics import (EvolutionTrace, Potential, PropagationConfig,
-                       free_potential, gaussian_barrier, harmonic_potential,
-                       hydrodynamic_residuals, kinetic_energy_densities,
-                       split_step_propagate, stream_trace)
+from .dynamics import (Potential, PropagationConfig, free_potential,
+                       gaussian_barrier, harmonic_potential,
+                       kinetic_energy_densities, stream_trace)
 from .states import (Gaussian, GaussianOracle, OscillatorEigenstate,
                      PlaneWave, StateRecipe, Superposition, gaussian_oracle,
                      parse_recipe, recipe_text, synthesize)

@@ -319,18 +319,15 @@ def _parse_potential(text: str, grid) -> dynamics.Potential:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    # the residuals need snapshots uniform in time, at least three of them
-    if cfg.steps % cfg.stride or cfg.steps // cfg.stride < 2:
-        raise ConfigError("stride must divide steps into at least 2 "
-                          "intervals, got steps %d and stride %d"
-                          % (cfg.steps, cfg.stride))
+    # first, so that a stride that does not divide the steps exits 2
+    # before any work
+    run = dynamics.PropagationConfig(cfg.dt, cfg.steps, cfg.stride)
     targets = [] if cfg.out is None else [
         cfg.out + suffix for suffix in ("_rho.csv", "_pbar.csv",
                                         "_report.json")]
     with io.output_files(targets) as files:
         grid, _, psi = _setup(cfg)
         V = _parse_potential(cfg.potential, grid)
-        run = dynamics.PropagationConfig(cfg.dt, cfg.steps, cfg.stride)
         half = dynamics.PropagationConfig(cfg.dt / 2.0, cfg.steps * 2,
                                           cfg.stride)
         for fh in files[:2]:

@@ -35,8 +35,6 @@ next, and running maxima of the residuals and the norm drift, so nothing
 of size steps x n is held and the working set is O(CHUNK_ROWS + n).  The
 checks keep the order of a snapshot-by-snapshot pass: the first snapshot
 in time that fails gives the error of its first failing check.
-split_step_propagate and hydrodynamic_residuals collect the same stream
-into whole traces.
 """
 
 from __future__ import annotations
@@ -48,7 +46,8 @@ import numpy as np
 from .core import (DEFAULT_MASK_EPS, GridSpec, RealProfile, Wavefunction,
                    quotient_on, require_normalized, spectral_multiply,
                    support_mask)
-from .errors import LocmomError, PreconditionError, SelfCheckError, check
+from .errors import (ConfigError, LocmomError, PreconditionError,
+                     SelfCheckError, check)
 from .moments import moment_densities, momentum_power
 from .phasespace import wigner_moment_density_stack
 
@@ -109,13 +108,12 @@ class PropagationConfig:
             raise PreconditionError("steps must be >= 1")
         if self.snapshot_stride < 1:
             raise PreconditionError("snapshot_stride must be >= 1")
-
-
-@dataclass(frozen=True, eq=False)
-class EvolutionTrace:
-    potential: Potential
-    times: np.ndarray
-    snapshots: tuple  # of Wavefunction
+        # the residuals need snapshots uniform in time, at least three of them
+        if (self.steps % self.snapshot_stride
+                or self.steps // self.snapshot_stride < 2):
+            raise ConfigError("stride must divide steps into at least 2 "
+                              "intervals, got steps %d and stride %d"
+                              % (self.steps, self.snapshot_stride))
 
 
 def max_kinetic_eigenvalue(grid: GridSpec) -> float:
@@ -137,11 +135,10 @@ def chunk_length(n: int) -> int:
     return max(1, CHUNK_ROWS // n)
 
 
-def _snapshot_steps(cfg: PropagationConfig) -> list[int]:
+def _snapshot_steps(cfg: PropagationConfig) -> range:
     """The steps after which a trace takes a snapshot: every
-    snapshot_stride steps, and the initial and final states."""
-    return [step for step in range(cfg.steps + 1)
-            if step % cfg.snapshot_stride == 0 or step == cfg.steps]
+    snapshot_stride steps, the initial and final states among them."""
+    return range(0, cfg.steps + 1, cfg.snapshot_stride)
 
 
 def snapshot_times(cfg: PropagationConfig) -> np.ndarray:
@@ -153,7 +150,7 @@ def split_step_chunks(psi0: Wavefunction, V: Potential,
                       cfg: PropagationConfig):
     """Strang splitting exp(-iV dt/2) exp(-iT dt) exp(-iV dt/2) per step;
     unitary, second order in dt.  Yields the amplitudes of the snapshots,
-    every snapshot_stride steps and the initial and final states, as
+    every snapshot_stride steps from the initial to the final state, as
     consecutive (rows, n) chunks of chunk_length(n) rows (the last may be
     shorter).  The norm drift is left to the consumer (check_unitarity)."""
     require_normalized(psi0)
@@ -186,29 +183,6 @@ def norm_drift(amps: np.ndarray, g: GridSpec) -> float:
 def check_unitarity(drift: float) -> None:
     check("unitarity, norm drift |norm - 1|", drift, UNITARITY_TOL,
           PreconditionError)
-
-
-def split_step_propagate(psi0: Wavefunction, V: Potential,
-                         cfg: PropagationConfig) -> EvolutionTrace:
-    """The snapshots of split_step_chunks as one trace, after
-    check_unitarity over all of them."""
-    amps = np.concatenate(list(split_step_chunks(psi0, V, cfg)))
-    check_unitarity(norm_drift(amps, psi0.grid))
-    return EvolutionTrace(potential=V, times=snapshot_times(cfg),
-                          snapshots=tuple(Wavefunction(psi0.grid, a)
-                                          for a in amps))
-
-
-def _require_uniform_stride(times: np.ndarray) -> float:
-    if len(times) < 3:
-        raise PreconditionError("need at least 3 snapshots for residuals")
-    gaps = np.diff(times)
-    if not gaps[0] > 0:
-        raise PreconditionError("snapshot times must increase, got a first "
-                                "step of %r" % float(gaps[0]))
-    check("snapshot time steps, largest deviation from the first",
-          np.max(np.abs(gaps - gaps[0])), 1e-12 * gaps[0], PreconditionError)
-    return float(gaps[0])
 
 
 def _amplitude_fields(amps: np.ndarray, g: GridSpec,
@@ -276,7 +250,7 @@ class ResidualPass:
         d(pbar_W)/dt = -(pbar_W/m) d(pbar_W)/dq - dV/dq
                        - (1/(m rho)) d(rho sigma2_W)/dq
 
-    over a trace at the given snapshot times, fed its snapshots in time
+    over a trace of the given PropagationConfig, fed its snapshots in time
     order a chunk at a time (feed).  The first local momentum moment is
     definition-independent (S = MH = W), so D is evaluated once from the
     amplitudes; the Wigner moment densities of every snapshot are checked
@@ -290,27 +264,25 @@ class ResidualPass:
     mask of a time is core.support_mask of rho at it and at both
     neighbours), and the norm drift |norm - 1|.  The pass keeps the last
     two snapshots' fields for the centred time differences of the next
-    chunk.  The first check that fails, on the times or on a snapshot,
-    is kept in error rather than raised: later chunks then only add to
-    drift, so that a caller can put the unitarity of the whole trace
-    first."""
+    chunk.  The first check of a snapshot that fails is kept in error
+    rather than raised: later chunks then only add to drift, so that a
+    caller can put the unitarity of the whole trace first."""
 
     def __init__(self, grid: GridSpec, potential: Potential,
-                 times: np.ndarray, eps_factor: float = DEFAULT_MASK_EPS):
+                 cfg: PropagationConfig, eps_factor: float = DEFAULT_MASK_EPS):
         self.grid, self.grad_v = grid, potential.grad
+        self.dt = cfg.snapshot_stride * cfg.dt
         self.eps_factor = eps_factor
         self.continuity = self.euler = self.drift = 0.0
         self.error = self.tail = None
-        try:
-            self.dt = _require_uniform_stride(times)
-        except PreconditionError as exc:
-            self.error = exc
 
     def feed(self, amps: np.ndarray):
         """(rho, pbar, own) rows of the next chunk of snapshot amplitudes,
         pbar = D/rho the S local value of p and own its support_mask, or
         None once a check has failed (drift still takes in the chunk)."""
-        self.drift = max(self.drift, norm_drift(amps, self.grid))
+        drift = norm_drift(amps, self.grid)
+        # np.maximum keeps a NaN drift, which max(0.0, nan) would drop
+        self.drift = float(np.maximum(self.drift, drift))
         if self.error is not None:
             return None
         fields = np.empty((5, *amps.shape))  # rho, drho, D, dD, dm2
@@ -362,7 +334,7 @@ def stream_trace(psi0: Wavefunction, V: Potential, cfg: PropagationConfig,
     in the pass's error, so that a caller can rank it below the unitarity
     of another trace."""
     times = snapshot_times(cfg)
-    reduced, done = ResidualPass(psi0.grid, V, times, eps_factor), 0
+    reduced, done = ResidualPass(psi0.grid, V, cfg, eps_factor), 0
     for amps in split_step_chunks(psi0, V, cfg):
         rows = reduced.feed(amps)
         if emit is not None and rows is not None:
@@ -370,28 +342,6 @@ def stream_trace(psi0: Wavefunction, V: Potential, cfg: PropagationConfig,
         done += len(amps)
     check_unitarity(reduced.drift)
     return reduced, amps[-1]
-
-
-def hydrodynamic_residuals(trace: EvolutionTrace,
-                           eps_factor: float = DEFAULT_MASK_EPS) -> tuple:
-    """(continuity, euler, rho, pbar, mask) of the trace: the residuals of
-    a ResidualPass fed its snapshots, then the (T, n) rows of rho, of
-    pbar = D/rho and of pbar's mask (core.support_mask of each rho row),
-    each row the local_value of p under S of its snapshot.  Raises the
-    first failing check of the pass."""
-    g = trace.snapshots[0].grid
-    reduced = ResidualPass(g, trace.potential, trace.times, eps_factor)
-    count, rows = len(trace.snapshots), chunk_length(g.n)
-    rho, pbar = np.empty((2, count, g.n))
-    own = np.empty((count, g.n), dtype=bool)
-    for start in range(0, count, rows):
-        chunk = reduced.feed(np.stack([s.amp for s in
-                                       trace.snapshots[start:start + rows]]))
-        if chunk is None:
-            raise reduced.error
-        for out, values in zip((rho, pbar, own), chunk):
-            out[start:start + rows] = values
-    return reduced.continuity, reduced.euler, rho, pbar, own
 
 
 def kinetic_energy_densities(psi: Wavefunction) -> dict[str, RealProfile]:

@@ -7,6 +7,7 @@ import pytest
 
 import locmom as lm
 from locmom import phasespace as ps
+from locmom.dynamics import split_step_chunks
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -24,6 +25,13 @@ def density(psi, A, definition="S", order=1):
     """The moment density of A^order under the definition."""
     (values,) = lm.moment_densities(psi, A, definition, orders=(order,))
     return values
+
+
+def trace_snapshots(psi0, V, cfg) -> list:
+    """The snapshots of one trace, the chunks of split_step_chunks
+    concatenated into Wavefunctions in time order."""
+    return [lm.Wavefunction(psi0.grid, amp)
+            for chunk in split_step_chunks(psi0, V, cfg) for amp in chunk]
 
 
 def traced_peak(call) -> int:

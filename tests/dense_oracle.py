@@ -23,8 +23,7 @@ A^2 that moment_densities gives under S and C.
 The hydrodynamic residuals are the exception: hydrodynamic_residuals
 recomputes them one snapshot at a time with the package's own
 apply_momentum_power and Wigner moment densities.  It is the reference for
-the chunked dynamics.hydrodynamic_residuals, which must equal it bit for
-bit.
+the chunked dynamics.ResidualPass, which must equal it bit for bit.
 
 The rest are references that only tests read: classical_local_moments is
 the general n x n classical route, the conditional moments of any a(q, p)
@@ -287,17 +286,17 @@ def checked_fields(psi, tol=1e-8):
     return fields
 
 
-def hydrodynamic_residuals(trace, eps_factor=1e-10):
-    """(continuity, euler) residuals one snapshot at a time: the fields of
-    each snapshot in a dict, and a Python loop over the interior times with
-    the masked points gathered by boolean indexing."""
-    times = np.asarray(trace.times)
+def hydrodynamic_residuals(snapshots, times, potential, eps_factor=1e-10):
+    """(continuity, euler) residuals of the snapshots (Wavefunctions at the
+    given times) one snapshot at a time: the fields of each snapshot in a
+    dict, and a Python loop over the interior times with the masked points
+    gathered by boolean indexing."""
     dt = float(times[1] - times[0])
-    g = trace.snapshots[0].grid
+    g = snapshots[0].grid
     mass = g.mass
-    grad_v = trace.potential.grad
-    masks = [s.mask(eps_factor) for s in trace.snapshots]
-    fields = [checked_fields(s) for s in trace.snapshots]
+    grad_v = potential.grad
+    masks = [s.mask(eps_factor) for s in snapshots]
+    fields = [checked_fields(s) for s in snapshots]
 
     def pbar(i, mask):
         out = np.zeros(g.n)
@@ -305,7 +304,7 @@ def hydrodynamic_residuals(trace, eps_factor=1e-10):
         return out
 
     continuity = euler = 0.0
-    for i in range(1, len(trace.snapshots) - 1):
+    for i in range(1, len(snapshots) - 1):
         mask = masks[i - 1] & masks[i] & masks[i + 1]
         f = fields[i]
         rho, drho, D, dD = f["rho"], f["drho"], f["D"], f["dD"]

@@ -226,13 +226,14 @@ def test_criterion_10_hydrodynamics():
              (lm.synthesize(lm.Gaussian(s=1.0 / np.sqrt(2.0), k0=0.0, q0=1.0),
                             grid), dyn.harmonic_potential(grid, 1.0))]
     for psi0, V in cases:
-        traces = {dt: dyn.split_step_propagate(
-            psi0, V, dyn.PropagationConfig(dt, round(0.1 / dt), 1))
+        residuals = {dt: dyn.stream_trace(
+            psi0, V, dyn.PropagationConfig(dt, round(0.1 / dt), 1))[0]
             for dt in (2e-3, 1e-3, 5e-4)}
-        residuals = {dt: dyn.hydrodynamic_residuals(tr)
-                     for dt, tr in traces.items()}
-        cont = {dt: r[0] for dt, r in residuals.items()}
-        euler = {dt: r[1] for dt, r in residuals.items()}
+        for reduced in residuals.values():
+            if reduced.error is not None:
+                raise reduced.error
+        cont = {dt: r.continuity for dt, r in residuals.items()}
+        euler = {dt: r.euler for dt, r in residuals.items()}
         assert cont[1e-3] < 1e-5
         assert euler[1e-3] < 1e-4
         # halving dt shrinks both residuals ~4x where the dt^2 error

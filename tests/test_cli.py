@@ -20,7 +20,7 @@ from locmom.io import fmt
 from locmom.cli import RunConfig
 from locmom.io import read_distribution_binary
 
-from conftest import use_bands
+from conftest import trace_snapshots, use_bands
 
 GRID16 = ["--grid-n", "512", "--q-min", "-16", "--q-max", "16"]
 EVOLVE_GRID = ["--grid-n", "128", "--q-min", "-16", "--q-max", "16"]
@@ -385,6 +385,18 @@ def test_evolve_harmonic_sign_flip(capsys):
     assert rep["q_mean_final"] < -0.9  # past the quarter period
 
 
+def test_evolve_long_run_takes_its_time_step_from_the_config(capsys):
+    """At 5000 steps the float snapshot times of the dt/2 trace deviate
+    from a uniform step by 6.1e-16, more than 1e-12 of it, so the
+    residuals take their step, stride * dt, from the config."""
+    code, out, err = run(["evolve", *EVOLVE_GRID, "--potential",
+                          "harmonic:1.0", "--state",
+                          "gaussian(s=1.0,k0=0.0,q0=0.0)", "--steps", "5000"],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1 and json.loads(out)["steps"] == 5000
+
+
 def test_evolve_stability_guard_exit_3(capsys):
     code, _, err = run(["evolve", "--grid-n", "512", "--dt", "0.001",
                         "--steps", "10"], capsys)
@@ -426,11 +438,11 @@ def test_evolve_pbar_rows_are_the_snapshot_local_values(tmp_path, capsys, n,
                       "--out", str(base)], capsys)
     assert code == 0
     grid = lm.make_grid(n, -16.0, 16.0)
-    trace = dyn.split_step_propagate(
-        lm.synthesize(lm.parse_recipe(state), grid), build(grid),
-        dyn.PropagationConfig(0.001, 20, 2))
+    cfg = dyn.PropagationConfig(0.001, 20, 2)
+    snapshots = trace_snapshots(lm.synthesize(lm.parse_recipe(state), grid),
+                                build(grid), cfg)
     expected = []
-    for t, snap in zip(trace.times, trace.snapshots):
+    for t, snap in zip(dyn.snapshot_times(cfg), snapshots):
         pbar = lm.local_value(snap, mm.momentum_power(1), "S", 1e-9).profile
         expected += ["%s,%s,%s,%d" % (fmt(t), fmt(q), fmt(v), m)
                      for q, v, m in zip(grid.q, pbar.values, pbar.mask)]
@@ -645,7 +657,6 @@ def test_evolve_refuses_an_unusable_stride_before_propagating(
     def refuse(*args):
         raise AssertionError("propagated")
 
-    monkeypatch.setattr(dyn, "split_step_propagate", refuse)
     monkeypatch.setattr(dyn, "split_step_chunks", refuse)
     message = ("stride must divide steps into at least 2 intervals, got "
                "steps %d and stride %d" % (steps, stride))

@@ -242,12 +242,6 @@ def _wavefunction():
                          lm.make_grid(128, -16.0, 16.0))
 
 
-def _trace():
-    psi = _wavefunction()
-    return lm.split_step_propagate(psi, lm.harmonic_potential(psi.grid, 1.0),
-                                   lm.PropagationConfig(1e-3, 2, 1))
-
-
 ARRAY_RECORDS = {
     "Wavefunction": _wavefunction,
     "RealProfile": lambda: lm.local_variance(_wavefunction(),
@@ -257,7 +251,6 @@ ARRAY_RECORDS = {
     "QuasiDistribution": lambda: lm.wigner_transform(_wavefunction()),
     "Potential": lambda: lm.harmonic_potential(lm.make_grid(128, -16.0, 16.0),
                                                1.0),
-    "EvolutionTrace": _trace,
 }
 
 

@@ -9,7 +9,7 @@ from locmom import dynamics as dyn
 from locmom import moments as mm
 from locmom.phasespace import BLOCK_CELLS
 
-from conftest import GAUSS, density
+from conftest import GAUSS, density, trace_snapshots
 from dense_oracle import spatial_derivative
 
 COHERENT = lm.Gaussian(s=1.0 / np.sqrt(2.0), k0=0.0, q0=1.0)
@@ -33,62 +33,70 @@ def coherent(grid):
     return lm.synthesize(COHERENT, grid)
 
 
+def _residuals(psi0, V, cfg, eps_factor=lm.DEFAULT_MASK_EPS):
+    """(continuity, euler) of one trace; raises its first failing check."""
+    reduced = dyn.stream_trace(psi0, V, cfg, eps_factor)[0]
+    if reduced.error is not None:
+        raise reduced.error
+    return reduced.continuity, reduced.euler
+
+
+def _final(psi0, V, cfg):
+    return trace_snapshots(psi0, V, cfg)[-1]
+
+
+# each run is the (initial state, potential, config) of one trace
 @pytest.fixture(scope="module")
-def free_trace(grid, free_gauss):
-    return dyn.split_step_propagate(free_gauss, dyn.free_potential(grid),
-                                    dyn.PropagationConfig(1e-3, 100, 1))
+def free_run(grid, free_gauss):
+    return (free_gauss, dyn.free_potential(grid),
+            dyn.PropagationConfig(1e-3, 100, 1))
 
 
 @pytest.fixture(scope="module")
-def free_trace_half(grid, free_gauss):
-    return dyn.split_step_propagate(free_gauss, dyn.free_potential(grid),
-                                    dyn.PropagationConfig(5e-4, 200, 1))
+def free_run_half(grid, free_gauss):
+    return (free_gauss, dyn.free_potential(grid),
+            dyn.PropagationConfig(5e-4, 200, 1))
 
 
 @pytest.fixture(scope="module")
-def harmonic_trace(grid, coherent):
-    return dyn.split_step_propagate(coherent, dyn.harmonic_potential(grid, 1.0),
-                                    dyn.PropagationConfig(1e-3, 100, 1))
+def harmonic_run(grid, coherent):
+    return (coherent, dyn.harmonic_potential(grid, 1.0),
+            dyn.PropagationConfig(1e-3, 100, 1))
 
 
 @pytest.fixture(scope="module")
-def harmonic_trace_half(grid, coherent):
-    return dyn.split_step_propagate(coherent, dyn.harmonic_potential(grid, 1.0),
-                                    dyn.PropagationConfig(5e-4, 200, 1))
+def harmonic_run_half(grid, coherent):
+    return (coherent, dyn.harmonic_potential(grid, 1.0),
+            dyn.PropagationConfig(5e-4, 200, 1))
 
 
 def test_free_ehrenfest_drift(grid, free_gauss):
-    trace = dyn.split_step_propagate(free_gauss, dyn.free_potential(grid),
-                                     dyn.PropagationConfig(1e-3, 500, 100))
-    assert dyn.position_mean(trace.snapshots[-1]) == pytest.approx(1.0, abs=1e-6)
+    final = _final(free_gauss, dyn.free_potential(grid),
+                   dyn.PropagationConfig(1e-3, 500, 100))
+    assert dyn.position_mean(final) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_coherent_state_half_period(grid, coherent):
     steps = 1571
-    cfg = dyn.PropagationConfig((np.pi / 2.0) / steps, steps, steps)
-    trace = dyn.split_step_propagate(coherent, dyn.harmonic_potential(grid, 1.0),
-                                     cfg)
-    assert dyn.position_mean(trace.snapshots[-1]) == pytest.approx(0.0, abs=1e-6)
+    cfg = dyn.PropagationConfig((np.pi / 2.0) / steps, steps, 1)
+    final = _final(coherent, dyn.harmonic_potential(grid, 1.0), cfg)
+    assert dyn.position_mean(final) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_coherent_quarter_period_sign_flip(grid, coherent):
     steps = 3142
-    cfg = dyn.PropagationConfig(np.pi / steps, steps, steps)
-    trace = dyn.split_step_propagate(coherent, dyn.harmonic_potential(grid, 1.0),
-                                     cfg)
-    assert dyn.position_mean(trace.snapshots[-1]) == pytest.approx(-1.0, abs=1e-5)
+    cfg = dyn.PropagationConfig(np.pi / steps, steps, steps // 2)
+    final = _final(coherent, dyn.harmonic_potential(grid, 1.0), cfg)
+    assert dyn.position_mean(final) == pytest.approx(-1.0, abs=1e-5)
 
 
 def test_propagator_second_order_convergence(grid, coherent):
     V = dyn.harmonic_potential(grid, 1.0)
-    ref = dyn.split_step_propagate(coherent, V,
-                                   dyn.PropagationConfig(2.5e-4, 400, 400))
-    coarse = dyn.split_step_propagate(coherent, V,
-                                      dyn.PropagationConfig(2e-3, 50, 50))
-    fine = dyn.split_step_propagate(coherent, V,
-                                    dyn.PropagationConfig(1e-3, 100, 100))
-    err_coarse = np.max(np.abs(coarse.snapshots[-1].amp - ref.snapshots[-1].amp))
-    err_fine = np.max(np.abs(fine.snapshots[-1].amp - ref.snapshots[-1].amp))
+    ref = _final(coherent, V, dyn.PropagationConfig(2.5e-4, 400, 200))
+    coarse = _final(coherent, V, dyn.PropagationConfig(2e-3, 50, 25))
+    fine = _final(coherent, V, dyn.PropagationConfig(1e-3, 100, 50))
+    err_coarse = np.max(np.abs(coarse.amp - ref.amp))
+    err_fine = np.max(np.abs(fine.amp - ref.amp))
     assert 3.0 < err_coarse / err_fine < 5.5
 
 
@@ -96,38 +104,38 @@ def test_stability_guard_suggests_dt():
     grid = lm.make_grid(512, -20.0, 20.0)
     psi = lm.synthesize(GAUSS, grid)
     with pytest.raises(lm.PreconditionError, match="suggested dt"):
-        dyn.split_step_propagate(psi, dyn.free_potential(grid),
-                                 dyn.PropagationConfig(1e-3, 10, 1))
+        trace_snapshots(psi, dyn.free_potential(grid),
+                        dyn.PropagationConfig(1e-3, 10, 1))
 
 
 def test_snapshot_stride(grid, free_gauss):
-    trace = dyn.split_step_propagate(free_gauss, dyn.free_potential(grid),
-                                     dyn.PropagationConfig(1e-3, 100, 25))
-    assert len(trace.snapshots) == 5
-    assert np.allclose(np.diff(trace.times), 0.025)
+    cfg = dyn.PropagationConfig(1e-3, 100, 25)
+    assert len(trace_snapshots(free_gauss, dyn.free_potential(grid),
+                               cfg)) == 5
+    assert np.allclose(np.diff(dyn.snapshot_times(cfg)), 0.025)
 
 
 def test_unitarity_and_energy_conservation(grid, coherent):
     V = dyn.harmonic_potential(grid, 1.0)
-    trace = dyn.split_step_propagate(coherent, V,
-                                     dyn.PropagationConfig(1e-3, 1000, 100))
-    drift = max(abs(s.norm() - 1.0) for s in trace.snapshots)
+    snapshots = trace_snapshots(coherent, V,
+                                dyn.PropagationConfig(1e-3, 1000, 100))
+    drift = max(abs(s.norm() - 1.0) for s in snapshots)
     assert drift < 1e-9
-    energies = [dense_oracle.energy_mean(s, V) for s in trace.snapshots]
+    energies = [dense_oracle.energy_mean(s, V) for s in snapshots]
     rel = (max(energies) - min(energies)) / abs(energies[0])
     assert rel < 1e-6
 
 
-def test_continuity_residual_free(free_trace, free_trace_half):
-    r = dyn.hydrodynamic_residuals(free_trace)[0]
-    r_half = dyn.hydrodynamic_residuals(free_trace_half)[0]
+def test_continuity_residual_free(free_run, free_run_half):
+    r = _residuals(*free_run)[0]
+    r_half = _residuals(*free_run_half)[0]
     assert r < 1e-5
     assert 3.0 < r / r_half < 5.0
 
 
-def test_continuity_residual_harmonic(harmonic_trace, harmonic_trace_half):
-    r = dyn.hydrodynamic_residuals(harmonic_trace)[0]
-    r_half = dyn.hydrodynamic_residuals(harmonic_trace_half)[0]
+def test_continuity_residual_harmonic(harmonic_run, harmonic_run_half):
+    r = _residuals(*harmonic_run)[0]
+    r_half = _residuals(*harmonic_run_half)[0]
     assert r < 1e-5
     assert 3.0 < r / r_half < 5.0
 
@@ -135,56 +143,42 @@ def test_continuity_residual_harmonic(harmonic_trace, harmonic_trace_half):
 def test_continuity_residual_plane_wave(grid):
     k = 2.0 * np.pi * 4.0 / grid.length
     psi = lm.synthesize(lm.PlaneWave(k=k), grid)
-    trace = dyn.split_step_propagate(psi, dyn.free_potential(grid),
-                                     dyn.PropagationConfig(1e-3, 10, 1))
-    continuity, euler = dyn.hydrodynamic_residuals(trace)[:2]
+    continuity, euler = _residuals(psi, dyn.free_potential(grid),
+                                   dyn.PropagationConfig(1e-3, 10, 1))
     assert continuity < 1e-10
     assert euler < 1e-10
 
 
-def test_continuity_residual_needs_three_snapshots(grid, free_gauss):
-    trace = dyn.split_step_propagate(free_gauss, dyn.free_potential(grid),
-                                     dyn.PropagationConfig(1e-3, 10, 10))
-    with pytest.raises(lm.PreconditionError, match="3 snapshots"):
-        dyn.hydrodynamic_residuals(trace)
+def test_continuity_residual_needs_three_snapshots():
+    """PropagationConfig holds the stride rule of evolve, with its
+    message: the stride divides the steps into at least 2 intervals."""
+    for steps, stride in ((10, 10), (10, 3), (1, 1)):
+        with pytest.raises(lm.ConfigError) as refused:
+            dyn.PropagationConfig(1e-3, steps, stride)
+        assert str(refused.value) == (
+            "stride must divide steps into at least 2 intervals, got steps "
+            "%d and stride %d" % (steps, stride))
 
 
-def test_residuals_refuse_a_mask_eps_that_empties_every_mask(free_trace):
+def test_residuals_refuse_a_mask_eps_that_empties_every_mask(free_run):
     with pytest.raises(lm.PreconditionError, match=r"in \(0, 1\], got 2\.0"):
-        dyn.hydrodynamic_residuals(free_trace, 2.0)
+        _residuals(*free_run, 2.0)
 
 
-@pytest.mark.parametrize("times, message", [
-    ([0.0, np.nan, 2e-3, 3e-3], "must increase, got a first step of nan"),
-    ([1e-3, 1e-3, 1e-3, 1e-3], "must increase, got a first step of 0.0"),
-    ([3e-3, 2e-3, 1e-3, 0.0], "must increase, got a first step of -0.001"),
-    ([0.0, 1e-3, np.nan, 3e-3], ": nan exceeds 1e-15"),
-    ([0.0, 1e-3, 3e-3, 4e-3], r": 0\.001 exceeds 1e-15")],
-    ids=["nan", "equal", "decreasing", "nan-later", "uneven"])
-def test_residuals_refuse_times_that_do_not_step_uniformly_forward(
-        grid, free_gauss, times, message):
-    trace = dyn.split_step_propagate(free_gauss, dyn.free_potential(grid),
-                                     dyn.PropagationConfig(1e-3, 3, 1))
-    trace = dyn.EvolutionTrace(trace.potential, np.array(times),
-                               trace.snapshots)
-    with pytest.raises(lm.PreconditionError, match=message):
-        dyn.hydrodynamic_residuals(trace)
-
-
-def test_continuity_definition_independent(free_trace):
+def test_continuity_definition_independent(free_run):
     """Rebuilding the momentum density from the MH or W first moments
     changes the residual by less than 1e-9."""
-    trace = free_trace
-    dt = trace.times[1] - trace.times[0]
-    g = trace.snapshots[0].grid
-    masks = [s.mask() for s in trace.snapshots]
-    rhos = [s.rho() for s in trace.snapshots]
+    snapshots = trace_snapshots(*free_run)
+    dt = free_run[2].dt
+    g = snapshots[0].grid
+    masks = [s.mask() for s in snapshots]
+    rhos = [s.rho() for s in snapshots]
 
     def residual_from(density_fn):
         worst = 0.0
-        for i in (1, len(trace.snapshots) // 2, len(trace.snapshots) - 2):
+        for i in (1, len(snapshots) // 2, len(snapshots) - 2):
             drho = (rhos[i + 1] - rhos[i - 1]) / (2.0 * dt)
-            flux = spatial_derivative(density_fn(trace.snapshots[i]), g)
+            flux = spatial_derivative(density_fn(snapshots[i]), g)
             mask = masks[i - 1] & masks[i] & masks[i + 1]
             worst = max(worst, float(np.max(np.abs((drho + flux / g.mass)[mask]))))
         return worst
@@ -205,37 +199,35 @@ def test_continuity_definition_independent(free_trace):
     assert abs(residual_from(via_W) - base) < 1e-9
 
 
-def _euler(trace):
-    return dyn.hydrodynamic_residuals(trace)[1]
+def _euler(run):
+    return _residuals(*run)[1]
 
 
-def test_euler_residual_free(free_trace, free_trace_half):
-    r = _euler(free_trace)
+def test_euler_residual_free(free_run, free_run_half):
+    r = _euler(free_run)
     assert r < 1e-4
     # near the roundoff floor the shrink factor degrades below the clean
     # factor 4 seen on the 2e-3 -> 1e-3 pair; it must still shrink
-    assert r / _euler(free_trace_half) > 1.8
+    assert r / _euler(free_run_half) > 1.8
 
 
-def test_euler_residual_harmonic(harmonic_trace, harmonic_trace_half):
-    r = _euler(harmonic_trace)
+def test_euler_residual_harmonic(harmonic_run, harmonic_run_half):
+    r = _euler(harmonic_run)
     assert r < 1e-4
-    assert r / _euler(harmonic_trace_half) > 1.8
+    assert r / _euler(harmonic_run_half) > 1.8
 
 
 def test_euler_residual_ratio_clean_above_noise(grid, free_gauss, coherent,
-                                                free_trace, harmonic_trace):
+                                                free_run, harmonic_run):
     """Doubling dt quadruples the residual; measured against the 2e-3 run
     where the dt^2 term dominates the roundoff floor."""
     V = dyn.free_potential(grid)
-    coarse = dyn.split_step_propagate(free_gauss, V,
-                                      dyn.PropagationConfig(2e-3, 50, 1))
-    ratio = _euler(coarse) / _euler(free_trace)
+    coarse = (free_gauss, V, dyn.PropagationConfig(2e-3, 50, 1))
+    ratio = _euler(coarse) / _euler(free_run)
     assert 3.0 < ratio < 5.0
     Vh = dyn.harmonic_potential(grid, 1.0)
-    coarse = dyn.split_step_propagate(coherent, Vh,
-                                      dyn.PropagationConfig(2e-3, 50, 1))
-    ratio = _euler(coarse) / _euler(harmonic_trace)
+    coarse = (coherent, Vh, dyn.PropagationConfig(2e-3, 50, 1))
+    ratio = _euler(coarse) / _euler(harmonic_run)
     assert 3.0 < ratio < 5.0
 
 
@@ -281,9 +273,9 @@ def test_gaussian_barrier_potential(grid512):
 
 def test_barrier_evolution_preserves_norm(grid, free_gauss):
     V = dyn.gaussian_barrier(grid, height=1.0, width=2.0, center=5.0)
-    trace = dyn.split_step_propagate(free_gauss, V,
-                                     dyn.PropagationConfig(1e-3, 200, 50))
-    assert max(abs(s.norm() - 1.0) for s in trace.snapshots) < 1e-9
+    snapshots = trace_snapshots(free_gauss, V,
+                                dyn.PropagationConfig(1e-3, 200, 50))
+    assert max(abs(s.norm() - 1.0) for s in snapshots) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +283,7 @@ def test_barrier_evolution_preserves_norm(grid, free_gauss):
 
 # (n, half-width of the window): at n = 1024 a kernel block holds
 # BLOCK_CELLS // n = 64 q rows, so one snapshot spans several blocks
-RESIDUAL_GRIDS = ((128, 16.0), (256, 16.0), (1024, 64.0))
+RESIDUAL_GRIDS = {128: 16.0, 256: 16.0, 1024: 64.0}
 
 
 def _potential(kind, grid):
@@ -302,81 +294,78 @@ def _potential(kind, grid):
     return dyn.gaussian_barrier(grid, height=1.0, width=1.0, center=3.0)
 
 
-def _chunk_length(n):
-    return max(1, dyn.CHUNK_ROWS // n)
-
-
-def _head(trace, count):
-    return dyn.EvolutionTrace(trace.potential, trace.times[:count],
-                              trace.snapshots[:count])
-
-
-@pytest.fixture(scope="module")
-def residual_traces():
-    traces = {}
-    for n, half in RESIDUAL_GRIDS:
-        grid = lm.make_grid(n, -half, half)
-        psi = lm.synthesize(GAUSS, grid)
-        for kind in ("free", "harmonic", "barrier"):
-            steps = 2 * _chunk_length(n)  # 2 L + 1 snapshots
-            traces[n, kind] = dyn.split_step_propagate(
-                psi, _potential(kind, grid),
-                dyn.PropagationConfig(1e-3, steps, 1))
-    return traces
-
-
 @pytest.mark.parametrize("kind", ["free", "harmonic", "barrier"])
-@pytest.mark.parametrize("n", [n for n, _ in RESIDUAL_GRIDS])
-def test_residuals_equal_the_per_snapshot_reference(residual_traces, n, kind):
-    trace = residual_traces[n, kind]
-    L = _chunk_length(n)
+@pytest.mark.parametrize("n", list(RESIDUAL_GRIDS))
+def test_residuals_equal_the_per_snapshot_reference(n, kind):
+    """The streamed residuals of count snapshots, at every count around
+    the chunk boundaries, equal the reference's bit for bit."""
+    grid = lm.make_grid(n, -RESIDUAL_GRIDS[n], RESIDUAL_GRIDS[n])
+    psi, V = lm.synthesize(GAUSS, grid), _potential(kind, grid)
+    L = dyn.chunk_length(n)
     counts = sorted({3, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1} - {1, 2})
     for count in counts:
-        head = _head(trace, count)
-        assert (dyn.hydrodynamic_residuals(head)[:2]
-                == dense_oracle.hydrodynamic_residuals(head)), count
+        cfg = dyn.PropagationConfig(1e-3, count - 1, 1)
+        assert (_residuals(psi, V, cfg)
+                == dense_oracle.hydrodynamic_residuals(
+                    trace_snapshots(psi, V, cfg), dyn.snapshot_times(cfg),
+                    V)), count
 
 
 @pytest.fixture(scope="module")
-def failing_barrier_trace():
-    """The default Gaussian under barrier:2.0,1.0,3.0 at n = 128: snapshots
-    98, 99 and 100 (of 101) miss the Wigner density check by 1.01e-8,
-    1.04e-8 and 1.06e-8, all in the last chunk."""
-    grid = lm.make_grid(128, -16.0, 16.0)
+def failing_barrier_run(grid):
+    """The default Gaussian under barrier:2.0,1.0,3.0 at n = 128, with the
+    chunks of its trace: snapshots 98, 99 and 100 (of 101) miss the Wigner
+    density check by 1.01e-8, 1.04e-8 and 1.06e-8, all in the last
+    chunk."""
     V = dyn.gaussian_barrier(grid, height=2.0, width=1.0, center=3.0)
-    return dyn.split_step_propagate(lm.synthesize(GAUSS, grid), V,
-                                    dyn.PropagationConfig(1e-3, 100, 1))
+    cfg = dyn.PropagationConfig(1e-3, 100, 1)
+    return V, cfg, list(dyn.split_step_chunks(lm.synthesize(GAUSS, grid), V,
+                                              cfg))
 
 
-def _replaced(trace, index, amp):
-    snapshots = list(trace.snapshots)
-    snapshots[index] = lm.Wavefunction(trace.snapshots[0].grid, amp)
-    return dyn.EvolutionTrace(trace.potential, trace.times, tuple(snapshots))
+def _first_error(grid, run, index=None, alter=None):
+    """The error that a ResidualPass keeps when fed the run's chunks, with
+    snapshot index replaced by alter(its amplitudes), if given."""
+    V, cfg, chunks = run
+    chunks = [amps.copy() for amps in chunks]
+    if index is not None:
+        row, at = divmod(index, len(chunks[0]))
+        chunks[row][at] = alter(chunks[row][at])
+    reduced = dyn.ResidualPass(grid, V, cfg)
+    for amps in chunks:
+        reduced.feed(amps)
+    return reduced.error
 
 
-def test_residual_errors_come_in_time_order(failing_barrier_trace):
-    trace = failing_barrier_trace
-    with pytest.raises(lm.SelfCheckError,
-                       match=": 1.011507068382489e-08 ") as chunked:
-        dyn.hydrodynamic_residuals(trace)
-    with pytest.raises(lm.SelfCheckError) as reference:
-        dense_oracle.hydrodynamic_residuals(trace)
-    assert str(reference.value) == str(chunked.value)
-    # an unnormalized snapshot after the first failing one changes nothing
-    later = _replaced(trace, 99, 2.0 * trace.snapshots[99].amp)
+def test_residual_errors_come_in_time_order(grid, failing_barrier_run):
+    V, cfg, chunks = run = failing_barrier_run
+    chunked = _first_error(grid, run)
     with pytest.raises(lm.SelfCheckError, match=": 1.011507068382489e-08 "):
-        dyn.hydrodynamic_residuals(later)
+        raise chunked
+    snapshots = [lm.Wavefunction(grid, amp) for amps in chunks
+                 for amp in amps]
+    with pytest.raises(lm.SelfCheckError) as reference:
+        dense_oracle.hydrodynamic_residuals(snapshots,
+                                            dyn.snapshot_times(cfg), V)
+    assert str(reference.value) == str(chunked)
+    # an unnormalized snapshot after the first failing one changes nothing
+    later = _first_error(grid, run, 99, lambda amp: 2.0 * amp)
+    with pytest.raises(lm.SelfCheckError, match=": 1.011507068382489e-08 "):
+        raise later
     # normalization is the first check of a snapshot
-    same = _replaced(trace, 98, 2.0 * trace.snapshots[98].amp)
+    same = _first_error(grid, run, 98, lambda amp: 2.0 * amp)
     with pytest.raises(lm.PreconditionError,
                        match=r"\|norm - 1\|: 1\.0\d* exceeds 1e-08$"):
-        dyn.hydrodynamic_residuals(same)
+        raise same
+
     # an earlier snapshot that is not decayed at the edges fails first
-    amp = trace.snapshots[97].amp + 1e-6
-    amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * trace.snapshots[0].grid.dq)
-    earlier = _replaced(trace, 97, amp)
+    def undecayed(amp):
+        amp = amp + 1e-6
+        return amp / np.sqrt(np.sum(np.abs(amp) ** 2) * grid.dq)
+
+    earlier = _first_error(grid, run, 97, undecayed)
     with pytest.raises(lm.PreconditionError, match="Wigner edge-decay"):
-        dyn.hydrodynamic_residuals(earlier)
+        raise earlier
 
 
 @pytest.mark.parametrize("n, half, count, before", [
@@ -387,15 +376,19 @@ def test_residual_pass_peak_memory(n, half, count, before):
     arrays of one chunk: O(CHUNK_ROWS + n).  `before` is the peak of the
     per-snapshot pass it replaced."""
     grid = lm.make_grid(n, -half, half)
-    trace = dyn.split_step_propagate(lm.synthesize(GAUSS, grid),
-                                     _potential("barrier", grid),
-                                     dyn.PropagationConfig(1e-3, count - 1, 1))
+    V = _potential("barrier", grid)
+    cfg = dyn.PropagationConfig(1e-3, count - 1, 1)
+    chunks = list(dyn.split_step_chunks(lm.synthesize(GAUSS, grid), V, cfg))
+    rows = []  # the rho, pbar and mask rows that the pass hands back
     tracemalloc.start()
     try:
-        dyn.hydrodynamic_residuals(trace)
+        reduced = dyn.ResidualPass(grid, V, cfg)
+        for amps in chunks:
+            rows.append(reduced.feed(amps))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert reduced.error is None
     fields = 6 * count * n * 8
     block = BLOCK_CELLS // n * (n // 2 + 1) * 16
     chunk = 16 * dyn.CHUNK_ROWS * 16

@@ -118,15 +118,7 @@ def _stability_guard(grid64, gauss64, monkeypatch):
 
 def _unitarity(grid64, gauss64, monkeypatch):
     V = dynamics.Potential(np.full(64, NAN), np.zeros(64), "nan")
-    lm.split_step_propagate(gauss64, V, lm.PropagationConfig(0.001, 3))
-
-
-def _uniform_stride(grid64, gauss64, monkeypatch):
-    trace = lm.split_step_propagate(gauss64, lm.free_potential(grid64),
-                                    lm.PropagationConfig(0.001, 3))
-    times = trace.times.copy()
-    times[2] = NAN
-    lm.hydrodynamic_residuals(replace(trace, times=times))
+    lm.stream_trace(gauss64, V, lm.PropagationConfig(0.001, 3))
 
 
 def _wigner_density_check(grid64, gauss64, monkeypatch):
@@ -134,9 +126,8 @@ def _wigner_density_check(grid64, gauss64, monkeypatch):
         return np.full((len(orders), len(amps), grid.n), NAN), None
     monkeypatch.setattr(dynamics, "wigner_moment_density_stack",
                         nan_densities)
-    trace = lm.split_step_propagate(gauss64, lm.free_potential(grid64),
-                                    lm.PropagationConfig(0.001, 3))
-    lm.hydrodynamic_residuals(trace)
+    raise lm.stream_trace(gauss64, lm.free_potential(grid64),
+                          lm.PropagationConfig(0.001, 3))[0].error
 
 
 def _masked_out_probability(grid64, gauss64, monkeypatch):
@@ -188,7 +179,6 @@ NAN_SITES = [
     (_normalization, lm.PreconditionError),
     (_stability_guard, lm.PreconditionError),
     (_unitarity, lm.PreconditionError),
-    (_uniform_stride, lm.PreconditionError),
     (_wigner_density_check, lm.SelfCheckError),
     (_masked_out_probability, lm.PreconditionError),
     (_wigner_edge, lm.PreconditionError),

@@ -16,7 +16,7 @@ from locmom import moments as mm
 from locmom import phasespace as ps
 
 from conftest import (CORPUS, GAUSS, TWO_GAUSS, density, make_state,
-                      traced_peak, use_bands)
+                      trace_snapshots, traced_peak, use_bands)
 from dense_oracle import (characteristic_function_S, conditional_direct,
                           conditional_full, global_average,
                           margenau_hill_direct, margenau_hill_full,
@@ -184,14 +184,14 @@ def test_wigner_moment_density_stack_matches_the_transform_across_blocks(
     assert (n % rows if rows < n
             else count > per_block > 1 and count % per_block)
     grid = lm.make_grid(n, -half, half)
-    trace = lm.split_step_propagate(lm.synthesize(GAUSS, grid),
-                                    lm.harmonic_potential(grid, 1.0),
-                                    lm.PropagationConfig(1e-4, count - 1, 1))
-    amps = np.stack([psi.amp for psi in trace.snapshots])
+    snapshots = trace_snapshots(lm.synthesize(GAUSS, grid),
+                                lm.harmonic_potential(grid, 1.0),
+                                lm.PropagationConfig(1e-4, count - 1, 1))
+    amps = np.stack([psi.amp for psi in snapshots])
     orders = (1, 2, 3, 4)
     densities, error = ps.wigner_moment_density_stack(amps, grid, orders)
     assert error is None and densities.shape == (4, count, n)
-    for r, psi in enumerate(trace.snapshots):
+    for r, psi in enumerate(snapshots):
         references = lm.wigner_transform(psi).moment_densities(orders)
         for k, (order, reference) in enumerate(zip(orders, references)):
             dev = np.max(np.abs(densities[k, r] - reference))

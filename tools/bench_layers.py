@@ -84,10 +84,6 @@ def layers():
     import locmom as lm
     from locmom import classical, cli, dynamics, io, moments
 
-    # a tree from before the streamed evolve (the parent, in the run that
-    # introduced it) times the same layers through its own signatures
-    streamed = hasattr(dynamics, "ResidualPass")
-
     def gaussian(n):
         # window and width grow with n, so that dq stays 5/64
         scale = n / 512
@@ -103,24 +99,16 @@ def layers():
         return (psi, lm.harmonic_potential(grid, 1.0),
                 lm.PropagationConfig(1e-3, steps, 1))
 
-    def trace(n, steps=100):
-        return lm.split_step_propagate(*evolve(n, steps))
-
     def split_step(n):
-        if not streamed:
-            return partial(lm.split_step_propagate, *evolve(n, 100))
         return lambda: deque(dynamics.split_step_chunks(*evolve(n, 100)),
                              maxlen=0)
 
     def residuals(n):
-        if not streamed:
-            return partial(lm.hydrodynamic_residuals, trace(n))
         psi, V, cfg = evolve(n, 100)
         chunks = list(dynamics.split_step_chunks(psi, V, cfg))
-        times = dynamics.snapshot_times(cfg)
 
         def call():
-            reduced = dynamics.ResidualPass(psi.grid, V, times)
+            reduced = dynamics.ResidualPass(psi.grid, V, cfg)
             for amps in chunks:
                 reduced.feed(amps)
         return call
@@ -152,10 +140,10 @@ def layers():
 
     def stack(n):
         # 4096 // n + 1 snapshots: 33 x 128 and 17 x 256
-        snapshots = trace(n, 4096 // n).snapshots
+        psi, V, cfg = evolve(n, 4096 // n)
         return partial(lm.wigner_moment_density_stack,
-                       np.stack([s.amp for s in snapshots]),
-                       snapshots[0].grid, ORDERS)
+                       np.concatenate(list(dynamics.split_step_chunks(
+                           psi, V, cfg))), psi.grid, ORDERS)
 
     def profiles(n):
         # what moments --definition all --order variance writes
@@ -165,18 +153,16 @@ def layers():
             for d in moments.DEFINITIONS])
 
     def trace_csv(n):
-        t = trace(n)
-        _, _, _, pbar, mask = lm.hydrodynamic_residuals(t)
-        if not streamed:
-            return partial(io.trace_csv, t, pbar, mask)
-        return partial(io.trace_csv, t.snapshots[0].grid, t.times, pbar, mask)
+        # the pbar rows of a 100-step trace, as evolve writes them
+        psi, V, cfg = evolve(n, 100)
+        rows = []
+        lm.stream_trace(psi, V, cfg, emit=lambda *chunk: rows.append(chunk))
+        times, _, pbar, mask = (np.concatenate(c) for c in zip(*rows))
+        return partial(io.trace_csv, psi.grid, times, pbar, mask)
 
     def binary(n):
         dist = lm.wigner_transform(gaussian(n)[2])
-        sink = open(os.devnull, "wb")
-        if not streamed:
-            return lambda: sink.write(io.distribution_binary(dist))
-        return partial(io.distribution_binary, dist, sink)
+        return partial(io.distribution_binary, dist, open(os.devnull, "wb"))
 
     return (
         ("wigner", N2_SIZES,
