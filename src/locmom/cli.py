@@ -36,8 +36,6 @@ import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from . import classical, dynamics, io, moments, phasespace, states
 from .core import Wavefunction, make_grid
 from .errors import (ConfigError, LocmomError, PreconditionError,
@@ -57,9 +55,10 @@ def _one_of(*values: str):
             lambda v: type(v) is str and v in values)
 
 
-# The profile commands peak at about 0.7 KB per grid point (tracemalloc,
-# n = 2**12..2**16), most of it the CSV text of `moments --definition all`;
-# the W kernel adds O(n) and one block of phasespace.BLOCK_CELLS / 2
+# The profile commands peak at 0.70-0.79 KB per grid point (tracemalloc,
+# n = 2**14..2**16) in `moments --format json`, whose text io.profile_json
+# builds whole (0.18-0.21 KB in CSV, which is written a profile at a
+# time); the W kernel adds O(n) and one block of phasespace.BLOCK_CELLS / 2
 # complex cells.  2**18 points keep that near 0.2 GB, within the 1 GiB
 # phasespace.N2_MEMORY_BUDGET.  evolve streams its traces a chunk of
 # dynamics.CHUNK_ROWS points at a time, so its peak, O(CHUNK_ROWS + n),
@@ -103,8 +102,8 @@ def _check_for(setting, command: str | None):
 class RunConfig:
     """The settings table, one field per setting."""
     grid_n: int = _setting(512, _GRID_N, _ALL,
-                           "number of grid points; moments and decompose "
-                           "hold about 0.7 KB per point")
+                           "number of grid points; moments holds up to "
+                           "about 0.8 KB per point (JSON)")
     q_min: float = _setting(-20.0, _NUMBER, _ALL, "left edge of the window")
     q_max: float = _setting(20.0, _NUMBER, _ALL, "right edge of the window")
     hbar: float = _setting(1.0, _POSITIVE, _ALL, "reduced Planck constant")
@@ -243,9 +242,8 @@ def cmd_moments(cfg: RunConfig) -> int:
         else:
             local, A = (moments.local_value,
                         moments.momentum_power(int(cfg.order)))
-        profiles = [local(psi, A, d, cfg.mask_eps) for d in _definitions(cfg)]
-        fh.write(io.profile_csv(profiles) if cfg.format == "csv"
-                 else io.profile_json(profiles))
+        write = io.profile_csv if cfg.format == "csv" else io.profile_json
+        write([local(psi, A, d, cfg.mask_eps) for d in _definitions(cfg)], fh)
     return 0
 
 
@@ -284,11 +282,9 @@ def cmd_distribution(cfg: RunConfig) -> int:
             dist = phasespace.margenau_hill_transform(psi)
         else:
             dist = classical.wigner_as_classical(recipe, grid, psi)
+        write = io.distribution_binary if binary else io.distribution_csv
         for fh in files:
-            if binary:
-                io.distribution_binary(dist, fh)
-            else:
-                fh.write(io.distribution_csv(dist))
+            write(dist, fh)
 
     min_value, min_q, min_p = dist.min_cell()
     meta = {"kind": dist.kind, "n": grid.n, "dq": grid.dq, "dp": dist.dp,
@@ -334,8 +330,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
             fh.write(io.trace_head(V.label, cfg.stride * cfg.dt, grid))
 
         def emit(times, rho, pbar, own):
-            files[0].write(io.trace_csv(grid, times, rho, np.ones_like(own)))
-            files[1].write(io.trace_csv(grid, times, pbar, own))
+            io.trace_csv(grid, times, rho, None, files[0])
+            io.trace_csv(grid, times, pbar, own, files[1])
 
         # the unitarity of both traces, then the residual checks of each
         full, final = dynamics.stream_trace(psi, V, run, cfg.mask_eps,

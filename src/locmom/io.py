@@ -2,7 +2,10 @@
 and the compact binary layout for distributions.
 
 CSV: '.' decimal, ',' separator, header row always present, floats at 17
-significant digits, so identical inputs yield byte-identical files.
+significant digits, so identical inputs yield byte-identical files.  A CSV
+writer formats a block of rows (a profile, a q row, a snapshot) by one %
+format and writes it to its file, so it holds one block's text at a time;
+profile_json builds its text whole.
 
 Binary distribution layout (little-endian):
     bytes  0..15   kind, ASCII, null-padded ("weyl_wigner", "margenau_hill"
@@ -19,6 +22,8 @@ import json
 import os
 import stat
 import struct
+from functools import partial
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -30,45 +35,47 @@ from .phasespace import QuasiDistribution
 _HEADER = struct.Struct("<16sQddd")
 
 
-def fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def fmt_column(values) -> list[str]:
-    """fmt of each value, in one pass over a Python list (the same bytes
-    as calling fmt per element, at half the cost)."""
+    """Each value at 17 significant digits, in one pass over a Python list
+    (the same bytes as formatting each element, at half the cost)."""
     return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
 
 
-def profile_csv(profiles: Iterable[LocalProfile]) -> str:
-    """Long-format CSV with columns q, value, mask, definition, order."""
-    lines = ["q,value,mask,definition,order"]
+def _write_block(fh, lead: str, lines: Iterable[str], values) -> None:
+    """Write lead + line for each of lines, the %.17g slot of each filled by
+    its entry of values (lines end in newlines; any other % is written %%)."""
+    fh.write((lead + lead.join(lines)) % tuple(values.tolist()))
+
+
+def profile_csv(profiles: Iterable[LocalProfile], fh) -> None:
+    """Write the long-format CSV with columns q, value, mask, definition,
+    order to the text file fh, a profile at a time."""
+    fh.write("q,value,mask,definition,order\n")
     for prof in profiles:
-        tail = ",%s,%s" % (prof.definition, prof.order)
-        lines += ["%s,%s,%d%s" % (q, v, m, tail)
-                  for q, v, m in zip(fmt_column(prof.profile.grid.q),
-                                     fmt_column(prof.profile.values),
-                                     prof.profile.mask.tolist())]
-    return "\n".join(lines) + "\n"
+        tail = (",%s,%s\n" % (prof.definition, prof.order)).replace("%", "%%")
+        # a generator, so that the lines live only while they are joined
+        _write_block(fh, "", ("%.17g,%%.17g,%d%s" % (q, m, tail)
+                              for q, m in zip(prof.profile.grid.q.tolist(),
+                                              prof.profile.mask.tolist())),
+                     prof.profile.values)
 
 
-def profile_json(profiles: Iterable[LocalProfile]) -> str:
-    """JSON list of {definition, order, q, value, mask}, one per profile."""
-    return json_text([{"definition": prof.definition,
-                       "order": str(prof.order),
-                       "q": fmt_column(prof.profile.grid.q),
-                       "value": fmt_column(prof.profile.values),
-                       "mask": prof.profile.mask.astype(int).tolist()}
-                      for prof in profiles])
+def profile_json(profiles: Iterable[LocalProfile], fh) -> None:
+    """Write the JSON list of {definition, order, q, value, mask} to fh."""
+    fh.write(json_text([{"definition": prof.definition,
+                         "order": str(prof.order),
+                         "q": fmt_column(prof.profile.grid.q),
+                         "value": fmt_column(prof.profile.values),
+                         "mask": prof.profile.mask.astype(int).tolist()}
+                        for prof in profiles]))
 
 
-def distribution_csv(dist: QuasiDistribution) -> str:
-    """Dense CSV with columns q, p, value (q-major, ascending p)."""
-    lines = ["q,p,value"]
-    p = fmt_column(dist.pgrid)
-    for q, row in zip(fmt_column(dist.grid.q), dist.values):
-        lines += ["%s,%s,%s" % (q, pk, v) for pk, v in zip(p, fmt_column(row))]
-    return "\n".join(lines) + "\n"
+def distribution_csv(dist: QuasiDistribution, fh) -> None:
+    """Write the dense CSV q, p, value (q-major, ascending p) to fh."""
+    fh.write("q,p,value\n")
+    lines = ["%.17g,%%.17g\n" % p for p in dist.pgrid.tolist()]
+    for q, row in zip(dist.grid.q.tolist(), dist.values):
+        _write_block(fh, "%.17g," % q, lines, row)
 
 
 def distribution_binary(dist: QuasiDistribution, fh) -> None:
@@ -109,22 +116,21 @@ def read_distribution_binary(blob: bytes):
 def trace_head(label: str, dt: float, grid) -> str:
     """The comment lines that open a trace CSV, recording the potential
     label, dt, hbar and mass, and its column row t, q, value, mask."""
-    return "".join(line + "\n" for line in (
-        "# potential=%s" % label, "# dt=%s" % fmt(dt),
-        "# hbar=%s" % fmt(grid.hbar), "# mass=%s" % fmt(grid.mass),
-        "t,q,value,mask"))
+    return ("# potential=%s\n# dt=%.17g\n# hbar=%.17g\n# mass=%.17g\n"
+            "t,q,value,mask\n" % (label, dt, grid.hbar, grid.mass))
 
 
-def trace_csv(grid, times: np.ndarray, values: np.ndarray,
-              masks: np.ndarray) -> str:
-    """The trace CSV lines t, q, value, mask of consecutive snapshots:
-    times (T,), values and masks (T, n) rows on the grid."""
-    q = fmt_column(grid.q)
-    lines = []
-    for t, vals, mask in zip(fmt_column(times), values, masks):
-        lines += ["%s,%s,%s,%d\n" % (t, qj, v, m)
-                  for qj, v, m in zip(q, fmt_column(vals), mask.tolist())]
-    return "".join(lines)
+def trace_csv(grid, times: np.ndarray, values: np.ndarray, masks, fh) -> None:
+    """Write the trace CSV lines t, q, value, mask of consecutive snapshots
+    to fh: times (T,), values (T, n) rows on the grid and their masks
+    (T, n), or None for masks of ones."""
+    pairs = [("%.17g,%%.17g,0\n" % q, "%.17g,%%.17g,1\n" % q)
+             for q in grid.q.tolist()]
+    ones = [one for _, one in pairs]
+    for row, t in enumerate(times.tolist()):
+        lines = ones if masks is None else [
+            pair[m] for pair, m in zip(pairs, masks[row].tolist())]
+        _write_block(fh, "%.17g," % t, lines, values[row])
 
 
 @contextlib.contextmanager
@@ -137,22 +143,26 @@ def output_files(paths: list[str], binary: bool = False):
     path names at the end.  If the block raises, the temporary files are
     removed and no path is touched.  A path that exists and is not a
     regular file, such as a device or a pipe, is written in place.  A
-    path that cannot be written raises ConfigError naming it."""
+    path that cannot be opened, written (by the write of the object the
+    block gets for it), closed or replaced raises ConfigError naming it."""
     opened = []  # (file, its temporary name, the file it replaces)
     try:
         for path in paths:
             opened.append(_writing(path, _open_beside, path, binary))
-        yield [fh for fh, _, _ in opened]
+        yield [SimpleNamespace(write=partial(_writing, path, fh.write))
+               for (fh, _, _), path in zip(opened, paths)]
         for (fh, _, _), path in zip(opened, paths):
             _writing(path, fh.close)
         for (_, name, target), path in zip(opened, paths):
             if target is not None:
                 _writing(path, os.replace, name, target)
     finally:
+        # a second failure would hide the first and skip the removals
         for fh, name, target in opened:
-            fh.close()
+            with contextlib.suppress(OSError):
+                fh.close()
             if target is not None:
-                with contextlib.suppress(FileNotFoundError):
+                with contextlib.suppress(OSError):
                     os.remove(name)
 
 

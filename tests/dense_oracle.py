@@ -31,6 +31,11 @@ on the lattice, which the one-pass classical bridge must reproduce;
 momentum_to_position inverts core.momentum_representation; energy_mean is
 <H> of one snapshot; global_average is <A> from the S first density;
 spatial_derivative is d/dq through the spectral seam.
+
+profile_csv_text, distribution_csv_text and trace_csv_text are the CSV
+writers as they were before io formatted a block of rows at a time: one
+Python string per line, each float formatted on its own, the whole text
+returned.  The block writers must give the same bytes.
 """
 
 from dataclasses import dataclass
@@ -369,3 +374,35 @@ def spatial_derivative(field, grid: GridSpec | None = None):
     if not np.iscomplexobj(values):
         return out.real
     return out
+
+
+def _fmt(values) -> list[str]:
+    return ["%.17g" % float(v) for v in np.asarray(values, dtype=float)]
+
+
+def profile_csv_text(profiles) -> str:
+    lines = ["q,value,mask,definition,order"]
+    for prof in profiles:
+        tail = ",%s,%s" % (prof.definition, prof.order)
+        lines += ["%s,%s,%d%s" % (q, v, m, tail)
+                  for q, v, m in zip(_fmt(prof.profile.grid.q),
+                                     _fmt(prof.profile.values),
+                                     prof.profile.mask.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def distribution_csv_text(dist) -> str:
+    lines = ["q,p,value"]
+    p = _fmt(dist.pgrid)
+    for q, row in zip(_fmt(dist.grid.q), dist.values):
+        lines += ["%s,%s,%s" % (q, pk, v) for pk, v in zip(p, _fmt(row))]
+    return "\n".join(lines) + "\n"
+
+
+def trace_csv_text(grid, times, values, masks) -> str:
+    q = _fmt(grid.q)
+    lines = []
+    for t, vals, mask in zip(_fmt(times), values, masks):
+        lines += ["%s,%s,%s,%d\n" % (t, qj, v, m)
+                  for qj, v, m in zip(q, _fmt(vals), mask.tolist())]
+    return "".join(lines)

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import gc
 import json
 import os
@@ -16,7 +17,6 @@ import locmom as lm
 from locmom import classical, cli, phasespace, states
 from locmom import dynamics as dyn
 from locmom import moments as mm
-from locmom.io import fmt
 from locmom.cli import RunConfig
 from locmom.io import read_distribution_binary
 
@@ -444,7 +444,7 @@ def test_evolve_pbar_rows_are_the_snapshot_local_values(tmp_path, capsys, n,
     expected = []
     for t, snap in zip(dyn.snapshot_times(cfg), snapshots):
         pbar = lm.local_value(snap, mm.momentum_power(1), "S", 1e-9).profile
-        expected += ["%s,%s,%s,%d" % (fmt(t), fmt(q), fmt(v), m)
+        expected += ["%.17g,%.17g,%.17g,%d" % (t, q, v, m)
                      for q, v, m in zip(grid.q, pbar.values, pbar.mask)]
     lines = (tmp_path / "run_pbar.csv").read_text().splitlines()
     assert lines[4] == "t,q,value,mask"
@@ -648,6 +648,41 @@ def test_an_out_that_is_a_pipe_is_written_in_place(tmp_path, capsys):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["fifo"]
     capsys.readouterr()
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+@needs_dev_full
+def test_a_write_that_fails_exits_2_naming_the_out(capsys):
+    """The profile text (about 0.5 MB) outgrows the file's buffer, so the
+    failure comes in a write, not at the close."""
+    code, out, err = run(["moments", "--grid-n", "2048", "--q-min", "-64",
+                          "--q-max", "64", "--state",
+                          "gaussian(s=4.0,k0=0.5,q0=0.0)", "--out",
+                          "/dev/full"], capsys)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["message"] == (
+        "cannot write output file /dev/full: %s" % NO_SPACE)
+
+
+@needs_dev_full
+def test_a_write_that_fails_leaves_no_temporary_file(tmp_path, capsys):
+    """The rho trace is written in place to what its link names; the
+    failure closes the other files without raising again, and removes
+    their temporary files."""
+    os.symlink("/dev/full", tmp_path / "x_rho.csv")
+    code, out, err = run(["evolve", *EVOLVE_GRID, "--out",
+                          str(tmp_path / "x")], capsys)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["message"] == (
+        "cannot write output file %s: %s" % (tmp_path / "x_rho.csv",
+                                              NO_SPACE))
+    assert os.listdir(tmp_path) == ["x_rho.csv"]
 
 
 @pytest.mark.parametrize("argv, steps, stride", [

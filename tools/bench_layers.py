@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.metadata
+import inspect
 import json
 import os
 import platform
@@ -145,20 +146,45 @@ def layers():
                        np.concatenate(list(dynamics.split_step_chunks(
                            psi, V, cfg))), psi.grid, ORDERS)
 
+    # a tree whose CSV writers return their text, rather than write it to
+    # the file they are given, has the text written
+    streams = "fh" in inspect.signature(io.trace_csv).parameters
+
+    def devnull():
+        # opened as the CLI opens its --out files
+        return open(os.devnull, "w", encoding="utf-8", newline="")
+
+    def written(writer, *args):
+        fh = devnull()
+        if streams:
+            return partial(writer, *args, fh)
+        return lambda: fh.write(writer(*args))
+
     def profiles(n):
         # what moments --definition all --order variance writes
         psi = gaussian(n)[2]
-        return partial(io.profile_csv, [
+        return written(io.profile_csv, [
             lm.local_variance(psi, lm.momentum_power(1), d)
             for d in moments.DEFINITIONS])
 
     def trace_csv(n):
-        # the pbar rows of a 100-step trace, as evolve writes them
+        # both trace files of a 100-step trace, a chunk at a time, as evolve
+        # writes them: rho with a mask of ones, pbar with its own mask
         psi, V, cfg = evolve(n, 100)
-        rows = []
-        lm.stream_trace(psi, V, cfg, emit=lambda *chunk: rows.append(chunk))
-        times, _, pbar, mask = (np.concatenate(c) for c in zip(*rows))
-        return partial(io.trace_csv, psi.grid, times, pbar, mask)
+        chunks = []
+        lm.stream_trace(psi, V, cfg, emit=lambda *chunk: chunks.append(chunk))
+        rho_fh, pbar_fh = devnull(), devnull()
+
+        def call():
+            for times, rho, pbar, own in chunks:
+                if streams:
+                    io.trace_csv(psi.grid, times, rho, None, rho_fh)
+                    io.trace_csv(psi.grid, times, pbar, own, pbar_fh)
+                else:
+                    rho_fh.write(io.trace_csv(psi.grid, times, rho,
+                                              np.ones_like(own)))
+                    pbar_fh.write(io.trace_csv(psi.grid, times, pbar, own))
+        return call
 
     def binary(n):
         dist = lm.wigner_transform(gaussian(n)[2])
@@ -189,6 +215,8 @@ def layers():
         ("evolve", EVOLVE_SIZES, pipeline_evolve),
         ("profile_csv", PROFILE_SIZES, profiles),
         ("trace_csv", EVOLVE_SIZES, trace_csv),
+        ("distribution_csv", (256, 512), lambda n: written(
+            io.distribution_csv, lm.wigner_transform(gaussian(n)[2]))),
         ("distribution_binary", PROFILE_SIZES, binary),
     )
 
