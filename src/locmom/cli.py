@@ -32,6 +32,7 @@ import contextlib
 import gc
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -226,9 +227,10 @@ def _definitions(cfg: RunConfig) -> list[str]:
 @contextlib.contextmanager
 def _output(out: str | None):
     """The text file that replaces out when the block completes
-    (io.output_files), or stdout if out is None."""
+    (io.output_files), or, if out is None, stdout (io.standard_output)."""
     if out is None:
-        yield sys.stdout
+        with io.standard_output() as fh:
+            yield fh
     else:
         with io.output_files([out]) as (fh,):
             yield fh
@@ -290,7 +292,8 @@ def cmd_distribution(cfg: RunConfig) -> int:
     meta = {"kind": dist.kind, "n": grid.n, "dq": grid.dq, "dp": dist.dp,
             "hbar": grid.hbar, "min_value": min_value, "min_q": min_q,
             "min_p": min_p, "out": cfg.out}
-    sys.stdout.write(io.json_text(meta))
+    with _output(None) as fh:
+        fh.write(io.json_text(meta))
     return 0
 
 
@@ -357,7 +360,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
                   "norm_drift_max": full.drift}
         for fh in files[2:]:
             fh.write(io.json_text(report))
-    sys.stdout.write(io.json_text(report))
+    with _output(None) as fh:
+        fh.write(io.json_text(report))
     return 0
 
 
@@ -386,7 +390,14 @@ def entry() -> int:
     # them, at 6-7 ms a pass.  Nothing imported is garbage, so move it
     # all to the permanent generation, which collections skip.
     gc.freeze()
-    return main()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main() has reported the failed write; what is left in the buffer
+        # goes to the null device, so that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

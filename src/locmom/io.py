@@ -22,6 +22,7 @@ import json
 import os
 import stat
 import struct
+import sys
 from functools import partial
 from types import SimpleNamespace
 from typing import Iterable
@@ -146,24 +147,33 @@ def output_files(paths: list[str], binary: bool = False):
     path that cannot be opened, written (by the write of the object the
     block gets for it), closed or replaced raises ConfigError naming it."""
     opened = []  # (file, its temporary name, the file it replaces)
+    names = ["output file " + path for path in paths]
     try:
-        for path in paths:
-            opened.append(_writing(path, _open_beside, path, binary))
-        yield [SimpleNamespace(write=partial(_writing, path, fh.write))
-               for (fh, _, _), path in zip(opened, paths)]
-        for (fh, _, _), path in zip(opened, paths):
-            _writing(path, fh.close)
-        for (_, name, target), path in zip(opened, paths):
+        for path, name in zip(paths, names):
+            opened.append(_writing(name, _open_beside, path, binary))
+        yield [_guarded(name, fh) for (fh, _, _), name in zip(opened, names)]
+        for (fh, _, _), name in zip(opened, names):
+            _writing(name, fh.close)
+        for (_, temporary, target), name in zip(opened, names):
             if target is not None:
-                _writing(path, os.replace, name, target)
+                _writing(name, os.replace, temporary, target)
     finally:
         # a second failure would hide the first and skip the removals
-        for fh, name, target in opened:
+        for fh, temporary, target in opened:
             with contextlib.suppress(OSError):
                 fh.close()
             if target is not None:
                 with contextlib.suppress(OSError):
-                    os.remove(name)
+                    os.remove(temporary)
+
+
+@contextlib.contextmanager
+def standard_output():
+    """sys.stdout behind the write of output_files, flushed when the block
+    completes: a write or the flush that fails (a full device, a closed
+    pipe) raises ConfigError naming standard output."""
+    yield _guarded("standard output", sys.stdout)
+    _writing("standard output", sys.stdout.flush)
 
 
 def _open_beside(path: str, binary: bool) -> tuple:
@@ -194,13 +204,18 @@ def _open_beside(path: str, binary: bool) -> tuple:
     return os.fdopen(fd, "w", encoding="utf-8", newline=""), name, target
 
 
-def _writing(path: str, call, *args):
-    """call(*args), with an OSError turned into a ConfigError on path."""
+def _guarded(what: str, fh) -> SimpleNamespace:
+    """An object whose write is fh.write under _writing."""
+    return SimpleNamespace(write=partial(_writing, what, fh.write))
+
+
+def _writing(what: str, call, *args):
+    """call(*args), with an OSError turned into a ConfigError naming what
+    could not be written."""
     try:
         return call(*args)
     except OSError as exc:
-        raise ConfigError("cannot write output file %s: %s"
-                          % (path, exc.strerror or exc))
+        raise ConfigError("cannot write %s: %s" % (what, exc.strerror or exc))
 
 
 def json_text(payload) -> str:

@@ -62,6 +62,13 @@ classical bridge (module ``classical``).
   it by K.  The Wigner transform takes s = 0..n/2 of the padded
   amplitude rotated by i^P, which puts that sign on the correlation
   itself, so each block is one product and one irfft into the result.
+* Support cut.  For a zero-padded row the kernel's pair c_i(s) is
+  exactly 0 unless both q_{i+s} and q_{i-s} lie in lo..hi, the span of
+  the amplitudes that are not exactly 0, so a block of part of a row
+  takes only the offsets its rows can reach and a block outside lo..hi
+  is never visited (_support_blocks): its work follows the support, not
+  the window.  Only exact zeros are left out, so nothing is truncated;
+  the shorter sums add the same terms in another order.
 * Root of unity.  On the grid q_j p_k/hbar = q_min p_k/hbar + 2 pi j k/n
   - pi j, so the Margenau-Hill phase factors into a row sign, a column
   phase and omega^(j k), omega = e^{2 pi i/n}: a table of one block's
@@ -335,11 +342,40 @@ def _windows(padded: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, n + 1, axis=-1)[..., :n, :]
 
 
+def _support_blocks(amps: np.ndarray, wrap: np.ndarray, rows: int):
+    """(r, q, t0) per block of _row_blocks(m, n, rows), rows < n (one
+    stack row per block), that can hold a nonzero correlation pair, t0
+    the first offset column that can: the support cut of
+    wigner_moment_density_stack.  A block reaches as far as its row
+    nearest the centre of lo..hi, min(i - lo, hi - i); the blocks of
+    negative reach are left out, and the blocks that reach as far as the
+    centre row, and every block of a wrapped row, take every offset."""
+    m, n = amps.shape
+    half = n // 2
+    nonzero = amps != 0
+    firsts = np.argmax(nonzero, axis=1).tolist()
+    lasts = (n - 1 - np.argmax(nonzero[:, ::-1], axis=1)).tolist()
+    for a, (lo, hi, wrapped) in enumerate(zip(firsts, lasts, wrap.tolist())):
+        r = slice(a, a + 1)
+        if wrapped:
+            yield from ((r, q, 0) for _, q in _row_blocks(1, n, rows))
+            continue
+        widest = (hi - lo) // 2
+        for q0 in range(lo - lo % rows, hi + 1, rows):
+            q1 = min(q0 + rows, n)
+            reach = min(q1 - 1 - lo, hi - q0, widest)
+            yield r, slice(q0, q1), 0 if reach == widest else half - reach
+
+
 def _correlation_blocks(amps: np.ndarray, wrap: np.ndarray, rows: int):
-    """(r, q, c) per block of _row_blocks(m, n, rows): the correlation
-    rows c[a, b, t] = conj(psi(q_b + s)) psi(q_b - s) of stack row r_a at
-    the offsets s = t - n/2 over -n/2..0, padded as _windows pads.  c is
-    one buffer, overwritten by the next block."""
+    """(r, q, t0, c) per block of _row_blocks(m, n, rows) that can hold a
+    nonzero correlation pair: the correlation rows c[a, b, t - t0] =
+    conj(psi(q_b + s)) psi(q_b - s) of stack row r_a at the offsets
+    s = t - n/2 over t0 - n/2..0, padded as _windows pads.  The offsets
+    s < t0 - n/2 and the blocks left out hold exact zeros only.  Blocks
+    of whole stack rows (rows >= n) and a stack of wrapped rows take every
+    offset of every block; blocks of part of a row follow
+    _support_blocks.  c is one buffer, overwritten by the next block."""
     m, n = amps.shape
     half = n // 2
     conjugates = _windows(_padded(np.conj(amps), wrap))
@@ -347,12 +383,14 @@ def _correlation_blocks(amps: np.ndarray, wrap: np.ndarray, rows: int):
     # the first block is the largest
     buffer = np.empty(min(m, max(1, rows // n)) * min(rows, n) * (half + 1),
                       dtype=complex)
-    for r, q in _row_blocks(m, n, rows):
-        shape = (r.stop - r.start, q.stop - q.start, half + 1)
+    blocks = (((r, q, 0) for r, q in _row_blocks(m, n, rows))
+              if rows >= n or wrap.all() else _support_blocks(amps, wrap, rows))
+    for r, q, t0 in blocks:
+        shape = (r.stop - r.start, q.stop - q.start, half + 1 - t0)
         c = buffer[:math.prod(shape)].reshape(shape)
-        np.multiply(conjugates[r, q, :half + 1], windows[r, q, n:half - 1:-1],
-                    out=c)
-        yield r, q, c
+        np.multiply(conjugates[r, q, t0:half + 1],
+                    windows[r, q, n - t0:half - 1:-1], out=c)
+        yield r, q, t0, c
 
 
 def _hermitian_rows(blocks, scale: float, out: np.ndarray) -> None:
@@ -453,6 +491,20 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
     BLOCK_CELLS // n at a time, whole rows of the stack together when n^2
     is at most BLOCK_CELLS, so the peak memory is about BLOCK_CELLS / 2
     complex cells beyond the padded stacks and no n x n array is built.
+
+    The support cut.  In a zero-padded row whose amplitudes are exactly
+    0 outside lo..hi, c_i(s) = 0 for s < -min(i - lo, hi - i), where one
+    of its factors is a padded or an amplitude zero, and for every s
+    where i lies outside lo..hi.  So a block of part of a row takes the
+    offsets from minus its largest reach min(i - lo, hi - i) on, with the
+    matching columns of K, and the blocks outside lo..hi are +0.0 and
+    never visited: a support of w points costs O(w^2), not O(n^2).  The
+    terms left out are exact zeros, so the sums are the full ones up to
+    their order of summation (no product, subnormal or not, is dropped).
+    Blocks of whole stack rows, wrapped rows and the block that holds
+    the centre of lo..hi take every offset, so their densities are the
+    full-offset sums bit for bit, and a stack's rows equal the rows'
+    single-state densities.
     """
     norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1) * grid.dq)
     wrap, allowed, edge = _pad_modes(amps)
@@ -471,10 +523,12 @@ def wigner_moment_density_stack(amps: np.ndarray, grid: GridSpec,
     # Re(K c) = K.real c.real - K.imag c.imag: one real product of the
     # interleaved (real, imag) views of conj(K) and the correlation block
     kernel = np.conj(K).view(float)
-    out = np.empty((len(orders), valid, grid.n))
-    for r, q, c in _correlation_blocks(amps[:valid], wrap[:valid],
-                                       max(1, BLOCK_CELLS // grid.n)):
-        block = kernel @ c.reshape(-1, half + 1).view(float).T
+    # the blocks left out are exact +0.0
+    out = np.zeros((len(orders), valid, grid.n))
+    for r, q, t0, c in _correlation_blocks(amps[:valid], wrap[:valid],
+                                           max(1, BLOCK_CELLS // grid.n)):
+        block = kernel[:, 2 * t0:] @ c.reshape(-1, half + 1 - t0).view(
+            float).T
         out[:, r, q] = block.reshape(len(orders), *c.shape[:2])
     return out, error
 

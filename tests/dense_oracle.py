@@ -14,6 +14,11 @@ or shift product at once, a full complex FFT per row and, for
 Margenau-Hill, the n x n phase e^{i q p/hbar}.  They are fast enough to
 check the blocked routes at sizes with partial row blocks.
 
+wigner_moment_density_full is the W moment-density kernel as it was before
+it left out the correlation pairs that are exactly zero: every offset of
+every row block.  Where the kernel takes every offset, it must equal this
+bit for bit.
+
 characteristic_function_S builds one slice G(tau, q) of the local
 characteristic function by periodic grid shifting, the single-tau form of
 the function that conditional_momentum_S inverts over the whole tau
@@ -42,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from locmom import phasespace as ps
 from locmom.core import (DEFAULT_MASK_EPS, GridSpec, RealProfile,
                          apply_momentum_power, local_quotients,
                          momentum_representation, quotient_on,
@@ -138,6 +144,28 @@ def wigner_direct(grid, psi: np.ndarray, periodic: bool) -> np.ndarray:
             phase = np.exp(2j * pgrid * j * grid.dq / grid.hbar)
             out[i] += np.real(np.conj(psi[a]) * psi[b] * phase)
     return out * grid.dq / (np.pi * grid.hbar)
+
+
+def wigner_moment_density_full(amps: np.ndarray, grid, orders) -> np.ndarray:
+    """densities[k, r] of order orders[k] of each amplitude row r, every
+    row valid: the product of the kernel K with the correlation half
+    s = -n/2..0 of every row, in the row blocks, with the kernel and the
+    products, of phasespace.wigner_moment_density_stack."""
+    n, half = grid.n, grid.n // 2
+    pgrid, dp = ps.wigner_pgrid(grid)
+    powers = np.fft.ifftshift(pgrid) ** np.asarray(orders)[:, None]
+    K = np.fft.rfft(powers)[:, ::-1] * (dp * grid.dq / (np.pi * grid.hbar))
+    K[:, 1:half] *= 2.0
+    kernel = np.conj(K).view(float)
+    wrap = ps._pad_modes(amps)[0]
+    conjugates = ps._windows(ps._padded(np.conj(amps), wrap))
+    windows = ps._windows(ps._padded(amps, wrap))
+    out = np.empty((len(orders), len(amps), n))
+    for r, q in ps._row_blocks(len(amps), n, max(1, ps.BLOCK_CELLS // n)):
+        c = conjugates[r, q, :half + 1] * windows[r, q, n:half - 1:-1]
+        block = kernel @ c.reshape(-1, half + 1).view(float).T
+        out[:, r, q] = block.reshape(len(orders), *c.shape[:2])
+    return out
 
 
 def conditional_direct(grid, psi: np.ndarray) -> np.ndarray:

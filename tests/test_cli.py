@@ -685,6 +685,50 @@ def test_a_write_that_fails_leaves_no_temporary_file(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["x_rho.csv"]
 
 
+STDOUT_WRITERS = {
+    "moments": ["moments", "--grid-n", "64", "--q-min", "-16", "--q-max",
+                "16"],
+    "decompose": ["decompose"],
+    "distribution": ["distribution", "--grid-n", "64", "--q-min", "-16",
+                     "--q-max", "16"],
+    "evolve": ["evolve", *EVOLVE_GRID, "--steps", "20"],
+}
+
+
+def run_into(argv, stdout):
+    """run_subprocess with stdout the given file object or descriptor."""
+    src = str(Path(lm.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "locmom.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def assert_one_write_error(proc, reason):
+    assert proc.returncode == 2
+    (line,) = proc.stderr.decode().splitlines()
+    assert json.loads(line)["error"]["message"] == (
+        "cannot write standard output: %s" % reason)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", STDOUT_WRITERS)
+def test_a_full_standard_output_exits_2_with_one_line(command):
+    with open("/dev/full", "w") as full:
+        proc = run_into(STDOUT_WRITERS[command], full)
+    assert_one_write_error(proc, NO_SPACE)
+
+
+@pytest.mark.parametrize("command", STDOUT_WRITERS)
+def test_a_closed_pipe_on_standard_output_exits_2_with_one_line(command):
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = run_into(STDOUT_WRITERS[command], writer)
+    finally:
+        os.close(writer)
+    assert_one_write_error(proc, os.strerror(errno.EPIPE))
+
+
 @pytest.mark.parametrize("argv, steps, stride", [
     (["--steps", "10", "--stride", "3"], 10, 3), (["--steps", "1"], 1, 1)])
 def test_evolve_refuses_an_unusable_stride_before_propagating(

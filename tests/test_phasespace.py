@@ -21,7 +21,8 @@ from dense_oracle import (characteristic_function_S, conditional_direct,
                           conditional_full, global_average,
                           margenau_hill_direct, margenau_hill_full,
                           momentum_amplitudes_at, spatial_derivative,
-                          wigner_direct, wigner_full)
+                          wigner_direct, wigner_full,
+                          wigner_moment_density_full)
 
 PLANE_K = 2.0 * np.pi * 4.0 / 40.0
 
@@ -246,6 +247,103 @@ def test_W_moment_densities_peak_stays_within_a_row_block():
     # O(n) arrays, plus the padded state and its conjugate, 2 n complex
     # each (1.18 MB in all; 256-row blocks took 4.5 MB, the transform 134 MB)
     assert peak <= ps.BLOCK_CELLS * 16 + 2 * (2 * n) * 16
+
+
+# (n, half-width, recipe) of the states the kernel's cut is checked on; at
+# dq = 1/16 a Gaussian of s = 1 is exactly 0 beyond |q - q0| of about 54.6
+CUT_STATES = {
+    "edge_gaussian": (2048, 64.0, lm.Gaussian(s=1.0, k0=2.0, q0=-50.0)),
+    "cat": (4096, 128.0, lm.Superposition(branches=(
+        (1 + 0j, lm.Gaussian(s=0.8, k0=0.0, q0=-3.5)),
+        (1 + 0j, lm.Gaussian(s=0.8, k0=0.0, q0=3.5))))),
+    "oscillator_3": (1024, 20.0, lm.OscillatorEigenstate(level=3, omega=1.0)),
+    "compact_gaussian": (4096, 128.0, GAUSS),
+    "plane_wave": (2048, 20.0, lm.PlaneWave(k=PLANE_K)),
+}
+
+
+def cut_state(name):
+    n, half, recipe = CUT_STATES[name]
+    return lm.synthesize(recipe, lm.make_grid(n, -half, half))
+
+
+def support(psi):
+    """(lo, hi): the first and last amplitude that is not exactly 0."""
+    nonzero = np.flatnonzero(psi.amp)
+    return int(nonzero[0]), int(nonzero[-1])
+
+
+@pytest.mark.parametrize("name", CUT_STATES)
+def test_cut_kernel_matches_the_full_offset_loop(name):
+    psi = cut_state(name)
+    orders = (1, 2, 3, 4)
+    densities = lm.wigner_moment_densities(psi, orders)
+    full = wigner_moment_density_full(psi.amp[None, :], psi.grid, orders)
+    for order, density, reference in zip(orders, densities, full[:, 0]):
+        dev = np.max(np.abs(density - reference))
+        assert dev < kernel_tolerance(psi, order), (order, dev)
+
+
+@pytest.mark.parametrize("name", ["edge_gaussian", "cat", "compact_gaussian"])
+def test_cut_kernel_rows_outside_the_support_are_positive_zero(name):
+    psi = cut_state(name)
+    lo, hi = support(psi)
+    assert hi - lo < psi.grid.n - 1  # rows to skip
+    densities = np.array(lm.wigner_moment_densities(psi, (1, 2, 3, 4)))
+    outside = np.concatenate([densities[:, :lo], densities[:, hi + 1:]],
+                             axis=1)
+    # the CSV writes -0.0 as -0
+    assert np.all(outside == 0.0) and not np.signbit(outside).any()
+
+
+@pytest.mark.parametrize("name", ["edge_gaussian", "cat", "compact_gaussian"])
+def test_cut_kernel_centre_blocks_equal_the_full_offset_loop(name):
+    """The blocks that hold the support's centre row (two where lo + hi is
+    odd) take every offset, and so the reference's sums."""
+    psi = cut_state(name)
+    lo, hi = support(psi)
+    rows = ps.BLOCK_CELLS // psi.grid.n
+    densities = np.array(lm.wigner_moment_densities(psi, (1, 2, 3, 4)))
+    full = wigner_moment_density_full(psi.amp[None, :], psi.grid,
+                                      (1, 2, 3, 4))[:, 0]
+    for centre in {(lo + hi) // 2, (lo + hi + 1) // 2}:
+        block = slice(centre - centre % rows, centre - centre % rows + rows)
+        assert np.array_equal(densities[:, block], full[:, block])
+
+
+@pytest.mark.parametrize("n, half", [(128, 20.0), (256, 20.0), (256, 128.0),
+                                     (2048, 20.0)])
+def test_cut_kernel_takes_every_offset_of_whole_row_blocks_and_wrapped_rows(
+        n, half):
+    """Blocks of whole stack rows (n = 128, 256), compact states among them
+    (dq = 1 on [-128, 128]), and a stack of plane waves equal the full
+    offset loop bit for bit."""
+    grid = lm.make_grid(n, -half, half)
+    if n == 2048:
+        amps = np.stack([lm.synthesize(lm.PlaneWave(k=k), grid).amp
+                         for k in (PLANE_K, -2.0 * PLANE_K)])
+    else:
+        amps = np.stack([make_state(name, grid).amp for name in CORPUS])
+    densities, error = ps.wigner_moment_density_stack(amps, grid, (1, 2, 3))
+    assert error is None
+    assert np.array_equal(densities,
+                          wigner_moment_density_full(amps, grid, (1, 2, 3)))
+
+
+def test_cut_kernel_mixed_stack_rows_equal_single_states():
+    """A stack of wrapped and zero-padded rows, compact ones among them,
+    in blocks of part of a row: each row is its single-state densities."""
+    grid = lm.make_grid(2048, -64.0, 64.0)
+    recipes = (lm.PlaneWave(k=2.0 * np.pi * 4.0 / grid.length),
+               GAUSS, CUT_STATES["edge_gaussian"][2], TWO_GAUSS)
+    states = [lm.synthesize(recipe, grid) for recipe in recipes]
+    assert support(states[1])[0] > 0
+    densities, error = ps.wigner_moment_density_stack(
+        np.stack([psi.amp for psi in states]), grid, (1, 2))
+    assert error is None
+    for r, psi in enumerate(states):
+        for k, single in enumerate(lm.wigner_moment_densities(psi, (1, 2))):
+            assert np.array_equal(densities[k, r], single), (r, k)
 
 
 # ---------------------------------------------------------------------------

@@ -31,3 +31,26 @@ def test_layer_case_runs_at_its_smallest_size(sizes, setup):
 def test_process_case_request_exits_0(capsys, argv):
     assert cli.main(argv[2:]) == 0
     capsys.readouterr()
+
+
+COMPARE = TOOL.parent / "compare_decks.py"
+spec = importlib.util.spec_from_file_location("compare_decks", COMPARE)
+compare_decks = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_decks)
+
+
+def test_compare_decks_runs_one_request_and_reports_columns(tmp_path):
+    """One deck request that writes a file, run twice under this package:
+    every output identical; and a moved number is reported by column."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    request = next(r for r in compare_decks.workloads.generate(
+        "profiles", 1, compare_decks.WORKDIR) if r["outputs"])
+    runs = [compare_decks.run(request, src, str(tmp_path / label))
+            for label in "ab"]
+    assert runs[0]["code"] == 0 and len(runs[0]["outputs"]) == 2
+    for name, text in runs[0]["outputs"].items():
+        assert compare_decks.deviations(text, runs[1]["outputs"][name]) == (
+            "identical")
+    a = b"q,value,mask,definition,order\n0,1.5,1,W,1\n0,2,1,S,1\n"
+    assert compare_decks.deviations(a, a.replace(b"1.5", b"1.25")) == (
+        "value[W]=0.25")

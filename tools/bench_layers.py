@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.metadata
-import inspect
 import json
 import os
 import platform
@@ -134,10 +133,22 @@ def layers():
         return partial(classical.classical_pipeline_profiles,
                        classical.wigner_as_classical(recipe, grid, psi), psi)
 
-    def single(n):
-        psi = gaussian(n)[2]
+    def kernel(psi):
         return partial(lm.wigner_moment_density_stack, psi.amp[None, :],
                        psi.grid, ORDERS)
+
+    def compact(n):
+        # dq = 1/16: the Gaussian's amplitudes are exactly 0 beyond
+        # |q| = 54.6, a support of 1747 points at every n
+        grid = lm.make_grid(n, -n / 32.0, n / 32.0)
+        return kernel(lm.synthesize(lm.parse_recipe(
+            "gaussian(s=1.0,k0=2.0,q0=0.0)"), grid))
+
+    def periodic(n):
+        # wrapped rows: every offset of every block
+        grid = gaussian(n)[1]
+        return kernel(lm.synthesize(lm.PlaneWave(
+            k=2.0 * np.pi * 4.0 / grid.length), grid))
 
     def stack(n):
         # 4096 // n + 1 snapshots: 33 x 128 and 17 x 256
@@ -146,19 +157,12 @@ def layers():
                        np.concatenate(list(dynamics.split_step_chunks(
                            psi, V, cfg))), psi.grid, ORDERS)
 
-    # a tree whose CSV writers return their text, rather than write it to
-    # the file they are given, has the text written
-    streams = "fh" in inspect.signature(io.trace_csv).parameters
-
     def devnull():
         # opened as the CLI opens its --out files
         return open(os.devnull, "w", encoding="utf-8", newline="")
 
     def written(writer, *args):
-        fh = devnull()
-        if streams:
-            return partial(writer, *args, fh)
-        return lambda: fh.write(writer(*args))
+        return partial(writer, *args, devnull())
 
     def profiles(n):
         # what moments --definition all --order variance writes
@@ -177,13 +181,8 @@ def layers():
 
         def call():
             for times, rho, pbar, own in chunks:
-                if streams:
-                    io.trace_csv(psi.grid, times, rho, None, rho_fh)
-                    io.trace_csv(psi.grid, times, pbar, own, pbar_fh)
-                else:
-                    rho_fh.write(io.trace_csv(psi.grid, times, rho,
-                                              np.ones_like(own)))
-                    pbar_fh.write(io.trace_csv(psi.grid, times, pbar, own))
+                io.trace_csv(psi.grid, times, rho, None, rho_fh)
+                io.trace_csv(psi.grid, times, pbar, own, pbar_fh)
         return call
 
     def binary(n):
@@ -204,7 +203,10 @@ def layers():
         ("wigner_as_classical", N2_SIZES,
          lambda n: partial(classical.wigner_as_classical, *gaussian(n))),
         ("classical_pipeline_profiles", N2_SIZES, pipeline),
-        ("w_kernel", (512, 1024, 2048, 4096, 8192), single),
+        ("w_kernel", (512, 1024, 2048, 4096, 8192),
+         lambda n: kernel(gaussian(n)[2])),
+        ("w_kernel_compact", (4096, 16384), compact),
+        ("w_kernel_periodic", (2048,), periodic),
         ("w_kernel_stack", EVOLVE_SIZES, stack),
         ("synthesize", PROFILE_SIZES,
          lambda n: partial(lm.synthesize, *gaussian(n)[:2])),
